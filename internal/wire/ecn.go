@@ -63,10 +63,6 @@ func orTOS(frame []byte, bits uint8) bool {
 	}
 	binary.BigEndian.PutUint16(ip[0:2], m1)
 	hc := binary.BigEndian.Uint16(ip[10:12])
-	sum := uint32(^hc) + uint32(^m) + uint32(m1)
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	binary.BigEndian.PutUint16(ip[10:12], ^uint16(sum))
+	binary.BigEndian.PutUint16(ip[10:12], ^fold(uint64(^hc)+uint64(^m)+uint64(m1)))
 	return true
 }

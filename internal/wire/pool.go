@@ -62,10 +62,11 @@ func (p *FramePool) BuildUDP(src, dst Endpoint, ipID uint16, payload []byte) ([]
 	return f, nil
 }
 
-// get pops a cleared buffer of length n. A miss allocates at full frame
-// capacity so the pool converges on buffers that fit every payload; a
-// popped buffer too small for n (a foreign frame that migrated in) is
-// dropped rather than retried.
+// get pops a cleared buffer of length n. A miss allocates exactly n
+// bytes: most frames a pool builds leave it for good (server stacks drop
+// requests without Put), so capacity beyond n would only be zeroed and
+// collected. A popped buffer too small for n (a foreign frame that
+// migrated in) is dropped rather than retried.
 func (p *FramePool) get(n int) []byte {
 	p.Gets++
 	if last := len(p.free) - 1; last >= 0 {
@@ -79,7 +80,7 @@ func (p *FramePool) get(n int) []byte {
 			return f
 		}
 	}
-	return make([]byte, n, HeadersLen+MaxUDPPayload)
+	return make([]byte, n)
 }
 
 // Put returns a dead frame to the free list. See the ownership contract

@@ -40,17 +40,17 @@ func TestFramePoolByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFramePoolMissAndForeignBuffers: an empty pool allocates at full
-// frame capacity; a migrated-in buffer too small for the next request is
-// dropped, not retried.
+// TestFramePoolMissAndForeignBuffers: an empty pool allocates exactly
+// the frame's size; a migrated-in buffer too small for the next request
+// is dropped, not retried.
 func TestFramePoolMissAndForeignBuffers(t *testing.T) {
 	p := new(FramePool)
 	f, err := p.BuildUDP(poolEPs.src, poolEPs.dst, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Hits != 0 || cap(f) != HeadersLen+MaxUDPPayload {
-		t.Fatalf("miss path: hits=%d cap=%d", p.Hits, cap(f))
+	if p.Hits != 0 || len(f) != MinFrameLen || cap(f) != MinFrameLen {
+		t.Fatalf("miss path: hits=%d len=%d cap=%d, want 0/%d/%d", p.Hits, len(f), cap(f), MinFrameLen, MinFrameLen)
 	}
 	// A minimum-size foreign frame cannot serve a near-MTU payload.
 	p.Put(make([]byte, MinFrameLen))
@@ -71,6 +71,31 @@ func TestFramePoolMissAndForeignBuffers(t *testing.T) {
 	p.Put(make([]byte, 8))
 	if p.Free() != 0 {
 		t.Fatal("pool accepted an 8-byte buffer")
+	}
+}
+
+// TestFramePoolWarmBuildZeroAlloc: once a frame's buffer circulates,
+// building from the pool and putting the frame back allocates nothing.
+func TestFramePoolWarmBuildZeroAlloc(t *testing.T) {
+	p := new(FramePool)
+	payload := bytes.Repeat([]byte{0x5a}, 4096)
+	f, err := p.BuildUDP(poolEPs.src, poolEPs.dst, 1, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Put(f)
+	allocs := testing.AllocsPerRun(1000, func() {
+		f, err := p.BuildUDP(poolEPs.src, poolEPs.dst, 1, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Put(f)
+	})
+	if allocs != 0 {
+		t.Errorf("warm FramePool.BuildUDP allocates %v per op, want 0", allocs)
+	}
+	if p.Hits != p.Gets-1 {
+		t.Fatalf("gets=%d hits=%d, want every get after the first to hit", p.Gets, p.Hits)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Sizes of the fixed headers, in bytes.
@@ -114,56 +115,87 @@ type UDPHeader struct {
 //
 //lhlint:hotpath
 func Checksum(b []byte) uint16 {
-	var sum uint32
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b))
+	return ^fold(sum(0, b))
+}
+
+// sum adds b, read as RFC 1071's sequence of big-endian 16-bit words
+// (an odd last byte padded with zero), into the ones'-complement
+// accumulator acc. It takes 64-bit big-endian words in a carry chain
+// whose carry out of bit 63 is added back in (RFC 1071 §2). That is
+// exact because 2^16 ≡ 1 (mod 0xffff): a 64-bit word is congruent to the
+// sum of its four 16-bit words, and a carry out of bit 63 is worth 1.
+// b must start at an even offset of the checksummed data, so a caller
+// may sum it piecewise as long as only the last piece has odd length.
+//
+// The result is 0 only when acc was 0 and every word of b is 0, so fold
+// gives bit for bit what a 16-bit word loop gives, ±0 included.
+//
+//lhlint:hotpath
+func sum(acc uint64, b []byte) uint64 {
+	var c uint64
+	for len(b) >= 32 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[8:]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[16:]), c)
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[24:]), c)
+		b = b[32:]
+	}
+	for len(b) >= 8 {
+		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
+		b = b[8:]
+	}
+	if len(b) >= 4 {
+		acc, c = bits.Add64(acc, uint64(binary.BigEndian.Uint32(b)), c)
+		b = b[4:]
+	}
+	if len(b) >= 2 {
+		acc, c = bits.Add64(acc, uint64(binary.BigEndian.Uint16(b)), c)
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+		acc, c = bits.Add64(acc, uint64(b[0])<<8, c)
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
+	// Adding the last carry back cannot overflow: an add leaves acc all
+	// ones with a carry out only if acc was all ones with a carry in, and
+	// the chain starts with none.
+	return acc + c
+}
+
+// fold reduces a ones'-complement accumulator to 16 bits with
+// end-around carries. A nonzero acc never folds to 0.
+//
+//lhlint:hotpath
+func fold(acc uint64) uint16 {
+	for acc>>16 != 0 {
+		acc = acc&0xffff + acc>>16
 	}
-	return ^uint16(sum)
+	return uint16(acc)
 }
 
 // udpSum computes the RFC 1071 checksum of the IPv4 pseudo-header followed
 // by the UDP segment, folding the pseudo-header in arithmetically instead
-// of materializing it. skip names the byte offset of one 16-bit word in udp
-// to treat as zero (the checksum field during verification); pass -1 to sum
-// every word. The pseudo-header is an even 12 bytes, so udp's words keep
-// their 2-byte alignment and the result matches Checksum over the
-// concatenated buffers exactly.
+// of materializing it. With skipCksum, the segment's checksum word (bytes
+// 6-7, which udp must hold) counts as zero, as verification needs; the
+// segment is then summed as udp[:6] and udp[8:], both at even offsets.
+// The pseudo-header is an even 12 bytes, so udp's words keep their
+// 2-byte alignment and the result matches Checksum over the concatenated
+// buffers exactly.
 //
 //lhlint:hotpath
-func udpSum(src, dst IP, udp []byte, skip int) uint16 {
-	sum := uint32(binary.BigEndian.Uint16(src[0:2])) +
-		uint32(binary.BigEndian.Uint16(src[2:4])) +
-		uint32(binary.BigEndian.Uint16(dst[0:2])) +
-		uint32(binary.BigEndian.Uint16(dst[2:4])) +
-		uint32(ProtoUDP) + uint32(uint16(len(udp)))
-	i := 0
-	for ; i+1 < len(udp); i += 2 {
-		if i == skip {
-			continue
-		}
-		sum += uint32(binary.BigEndian.Uint16(udp[i:]))
+func udpSum(src, dst IP, udp []byte, skipCksum bool) uint16 {
+	acc := uint64(src.Uint32()) + uint64(dst.Uint32()) + ProtoUDP + uint64(uint16(len(udp)))
+	if skipCksum {
+		acc = sum(acc, udp[:6])
+		udp = udp[UDPHeaderLen:]
 	}
-	if i < len(udp) {
-		sum += uint32(udp[i]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
-	}
-	return ^uint16(sum)
+	return ^fold(sum(acc, udp))
 }
 
 // udpChecksum computes the UDP checksum including the IPv4 pseudo-header.
 //
 //lhlint:hotpath
 func udpChecksum(src, dst IP, udp []byte) uint16 {
-	cs := udpSum(src, dst, udp, -1)
+	cs := udpSum(src, dst, udp, false)
 	if cs == 0 {
 		cs = 0xffff // 0 means "no checksum" in UDP
 	}
@@ -345,9 +377,9 @@ func ParseUDPInto(frame []byte, d *Datagram) error {
 		return ErrBadLength
 	}
 	if d.UDP.Checksum != 0 {
-		// Verify by summing with the checksum word arithmetically zeroed
-		// (offset 6), so no copy of the segment is needed.
-		cs := udpSum(d.IP.Src, d.IP.Dst, udp, 6)
+		// Verify by summing around the checksum word, so no copy of the
+		// segment is needed.
+		cs := udpSum(d.IP.Src, d.IP.Dst, udp, true)
 		if cs == 0 {
 			cs = 0xffff
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -263,5 +265,150 @@ func TestCorruptionDetectedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refSum is the two-bytes-a-step RFC 1071 loop the package summed with
+// before its word-at-a-time core, kept as the exactness reference. It
+// adds b's 16-bit words to sum, except the one at byte offset skip (-1
+// skips none), and returns the folded, complemented checksum.
+func refSum(sum uint32, b []byte, skip int) uint16 {
+	i := 0
+	for ; i+1 < len(b); i += 2 {
+		if i == skip {
+			continue
+		}
+		sum += uint32(binary.BigEndian.Uint16(b[i:]))
+	}
+	if i < len(b) {
+		sum += uint32(b[i]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = (sum & 0xffff) + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+// refUDPSum is refSum over the IPv4 pseudo-header and the UDP segment.
+func refUDPSum(src, dst IP, udp []byte, skip int) uint16 {
+	pseudo := uint32(binary.BigEndian.Uint16(src[0:2])) +
+		uint32(binary.BigEndian.Uint16(src[2:4])) +
+		uint32(binary.BigEndian.Uint16(dst[0:2])) +
+		uint32(binary.BigEndian.Uint16(dst[2:4])) +
+		uint32(ProtoUDP) + uint32(uint16(len(udp)))
+	return refSum(pseudo, udp, skip)
+}
+
+// checkSums compares Checksum and udpSum, with and without the
+// checksum-word skip, against the reference loops on one segment.
+func checkSums(t *testing.T, src, dst IP, udp []byte) {
+	t.Helper()
+	if got, want := Checksum(udp), refSum(0, udp, -1); got != want {
+		t.Fatalf("len %d: Checksum = %#04x, reference %#04x", len(udp), got, want)
+	}
+	if got, want := udpSum(src, dst, udp, false), refUDPSum(src, dst, udp, -1); got != want {
+		t.Fatalf("len %d %v->%v: udpSum = %#04x, reference %#04x", len(udp), src, dst, got, want)
+	}
+	if len(udp) < UDPHeaderLen {
+		return
+	}
+	if got, want := udpSum(src, dst, udp, true), refUDPSum(src, dst, udp, 6); got != want {
+		t.Fatalf("len %d %v->%v: udpSum skipping the checksum = %#04x, reference %#04x",
+			len(udp), src, dst, got, want)
+	}
+}
+
+// sumPatterns returns the segment contents the exactness tests use, each
+// UDPHeaderLen+MaxUDPPayload long: all 0x00, all 0xff (the most carries)
+// and seeded random bytes.
+func sumPatterns() [][]byte {
+	const n = UDPHeaderLen + MaxUDPPayload
+	random := make([]byte, n)
+	rand.New(rand.NewSource(1071)).Read(random)
+	return [][]byte{make([]byte, n), bytes.Repeat([]byte{0xff}, n), random}
+}
+
+// sumIPs are the pseudo-header address pairs: all-zero, all-ones, and an
+// ordinary pair.
+var sumIPs = [][2]IP{
+	{{}, {}},
+	{{0xff, 0xff, 0xff, 0xff}, {0xff, 0xff, 0xff, 0xff}},
+	{srcEP.IP, dstEP.IP},
+}
+
+// TestSumMatchesReference: the word-at-a-time sums equal the reference
+// bit for bit, ±0 included, at every segment length up to the MTU.
+func TestSumMatchesReference(t *testing.T) {
+	for _, pat := range sumPatterns() {
+		for n := 0; n <= len(pat); n++ {
+			ips := sumIPs[n%len(sumIPs)]
+			checkSums(t, ips[0], ips[1], pat[:n])
+		}
+	}
+}
+
+// FuzzUDPSum checks the sums against the reference on arbitrary segments
+// and addresses. Its seeds are the exactness test's corner cases, so a
+// plain go test replays them.
+func FuzzUDPSum(f *testing.F) {
+	for _, pat := range sumPatterns() {
+		for _, n := range []int{0, 1, 2, 3, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65, 1500, 4104, len(pat)} {
+			for _, ips := range sumIPs {
+				f.Add(ips[0].Uint32(), ips[1].Uint32(), pat[:n])
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, src, dst uint32, udp []byte) {
+		checkSums(t, IPFromUint32(src), IPFromUint32(dst), udp)
+	})
+}
+
+// TestParseUDPIntoZeroAlloc pins the receive path's contract: parsing
+// into a caller-owned Datagram allocates nothing.
+func TestParseUDPIntoZeroAlloc(t *testing.T) {
+	f, err := BuildUDP(srcEP, dstEP, 1, make([]byte, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d Datagram
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := ParseUDPInto(f, &d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ParseUDPInto allocates %v per op, want 0", allocs)
+	}
+}
+
+var checksumSink uint16
+
+func BenchmarkChecksum(b *testing.B) {
+	for _, n := range []int{64, 1500, 4096, 9000} {
+		buf := make([]byte, n)
+		rand.New(rand.NewSource(int64(n))).Read(buf)
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			for b.Loop() {
+				checksumSink = Checksum(buf)
+			}
+		})
+	}
+}
+
+// BenchmarkParseUDPInto parses a frame carrying a 4096-byte payload,
+// verifying both checksums.
+func BenchmarkParseUDPInto(b *testing.B) {
+	const n = 4096
+	f, err := BuildUDP(srcEP, dstEP, 1, make([]byte, n))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var d Datagram
+	b.SetBytes(int64(len(f)))
+	for b.Loop() {
+		if err := ParseUDPInto(f, &d); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -269,12 +269,14 @@ func (g *Generator) SendTo(ti int) uint64 {
 		size = wire.MaxUDPPayload - rpc.HeaderLen
 	}
 	if cap(g.bodyScr) < size {
+		// Every body is a prefix of one constant pattern, so the scratch
+		// is filled once, when it grows.
 		g.bodyScr = make([]byte, size)
+		for i := range g.bodyScr {
+			g.bodyScr[i] = byte(i)
+		}
 	}
 	body := g.bodyScr[:size]
-	for i := range body {
-		body[i] = byte(i)
-	}
 	id := g.nextID
 	g.nextID++
 	g.reqScr = rpc.AppendMessage(g.reqScr[:0],
