@@ -68,7 +68,7 @@ func (d *driver) Kernel() *kernel.Kernel              { return d.k }
 func (d *driver) FramePort() fabric.FramePort         { return d.nic }
 func (d *driver) AttachLink(l *fabric.Link, side int) { d.nic.AttachLink(l, side) }
 
-func (d *driver) Start(peers []wire.Endpoint) {
+func (d *driver) Start(map[wire.IP]wire.MAC) {
 	reg := rpc.NewRegistry()
 	for _, ss := range d.services {
 		reg.Register(ss.Desc)

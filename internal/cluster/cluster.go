@@ -728,14 +728,12 @@ func BuildE(sp Spec) (*Universe, error) {
 		u.exec = shard.NewExecutor(u.Sims)
 	}
 
-	// Frame pools: one free list per Sim, armed only where unicast
-	// delivery is single-copy (wire.FramePool's ownership contract rules
-	// out the flooding learning switch).
-	if sp.Direct || sp.Fabric.multiTier() {
-		u.pools = make(map[*sim.Sim]*wire.FramePool, len(u.Sims))
-		for _, ps := range u.Sims {
-			u.pools[ps] = new(wire.FramePool)
-		}
+	// Frame pools: one free list per Sim. Every fabric delivers a buffer
+	// to one consumer (a flood replicates per port), which is what
+	// wire.FramePool's ownership contract asks.
+	u.pools = make(map[*sim.Sim]*wire.FramePool, len(u.Sims))
+	for _, ps := range u.Sims {
+		u.pools[ps] = new(wire.FramePool)
 	}
 
 	// Phase 1: stack substrates. Constructors schedule no events and draw
@@ -766,9 +764,14 @@ func BuildE(sp Spec) (*Universe, error) {
 		h.attachLink(u, net)
 	}
 
-	// Phase 4: services and workers, via each host's driver.
+	// Phase 4: services and workers, via each host's driver. Every host
+	// reads one shared ARP table of the universe's hosts.
+	arp := make(map[wire.IP]wire.MAC, len(u.Hosts))
 	for _, h := range u.Hosts {
-		h.start(u)
+		arp[h.EP.IP] = h.EP.MAC
+	}
+	for _, h := range u.Hosts {
+		h.Inst.Start(arp)
 	}
 
 	// Phase 4b: the service dependency DAG, once every service handler

@@ -156,12 +156,18 @@ func TestFramePoolCycles(t *testing.T) {
 			t.Errorf("shards=%d: steady-state hit rate %d/%d below half", shards, hits, gets)
 		}
 	}
-	// The flooding star topology must not arm pools.
+	// The learning-switch star replicates floods per port, so its pool
+	// cycles too.
 	star := shardedSpec(0)
 	star.Fabric = FabricSpec{}
 	us := Build(star)
-	if us.FramePool(us.S) != nil {
-		t.Error("learning-switch universe armed a frame pool")
+	us.RunMeasured(2*sim.Millisecond, 8*sim.Millisecond)
+	p := us.FramePool(us.S)
+	if p == nil {
+		t.Fatal("learning-switch universe without a frame pool")
+	}
+	if p.Hits == 0 || p.Hits*2 < p.Gets {
+		t.Errorf("learning-switch pool hit rate %d/%d below half", p.Hits, p.Gets)
 	}
 }
 

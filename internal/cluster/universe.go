@@ -46,14 +46,14 @@ type Universe struct {
 
 	shardSims []*sim.Sim
 	exec      *shard.Executor
-	// pools are the per-Sim frame free lists (nil in flooding topologies
-	// — see wire.FramePool's ownership contract).
+	// pools are the per-Sim frame free lists (see wire.FramePool's
+	// ownership contract).
 	pools  map[*sim.Sim]*wire.FramePool
 	byName map[string]*Host
 }
 
-// FramePool returns the frame free list of the given Sim, or nil when
-// the topology cannot arm pools.
+// FramePool returns the frame free list of the given Sim, or nil for a
+// Sim outside the universe.
 func (u *Universe) FramePool(s *sim.Sim) *wire.FramePool { return u.pools[s] }
 
 // Sharded reports whether the universe runs on multiple shard Sims.
@@ -180,6 +180,7 @@ func newHost(u *Universe, spec *HostSpec, index int) *Host {
 		Sim: h.sim, HostName: spec.Name, Endpoint: h.EP, Cores: spec.Cores,
 		Services: svcs, NIC: spec.NIC,
 		Fabric: u.Spec.fabricInfo(len(u.Spec.Clients) + index),
+		Pool:   u.pools[h.sim],
 	})
 	h.K = h.Inst.Kernel()
 	// Optional driver views: experiments reach for the concrete
@@ -218,19 +219,6 @@ func (h *Host) attachLink(u *Universe, net fabric.NetParams) {
 		h.Trans.BindLink(h.Link, h.LinkSide)
 	}
 	h.Inst.AttachLink(h.Link, h.LinkSide)
-}
-
-// start registers the host's services and spawns its workers through the
-// driver (phase 4), handing it the other hosts' endpoints in spec order
-// for stacks that keep static neighbour state (Lauberhorn's ARP mesh).
-func (h *Host) start(u *Universe) {
-	peers := make([]wire.Endpoint, 0, len(u.Hosts)-1)
-	for _, other := range u.Hosts {
-		if other != h {
-			peers = append(peers, other.EP)
-		}
-	}
-	h.Inst.Start(peers)
 }
 
 // Served returns requests completed by the host across all its services.

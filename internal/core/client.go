@@ -130,10 +130,7 @@ func (n *NIC) transmitClientReq(ch *clientChanNIC, req parsedClientReq) {
 	ch.outstanding = call
 	n.clientCalls[req.Serial] = call
 	n.stats.ClientReqs++
-	dst := wire.Endpoint{MAC: wire.BroadcastMAC, IP: req.DstIP, Port: req.DstPort}
-	if mac, ok := n.arp[req.DstIP]; ok {
-		dst.MAC = mac
-	}
+	dst := wire.Endpoint{MAC: n.resolve(req.DstIP), IP: req.DstIP, Port: req.DstPort}
 	// Encode into the reused scratch: txRPC copies the payload into the
 	// frame before returning.
 	n.encScr = rpc.AppendMessage(n.encScr[:0],
@@ -142,8 +139,27 @@ func (n *NIC) transmitClientReq(ch *clientChanNIC, req parsedClientReq) {
 }
 
 // AddARP installs a static IP→MAC mapping for outbound calls (the control
-// plane would normally resolve this).
-func (n *NIC) AddARP(ip wire.IP, mac wire.MAC) { n.arp[ip] = mac }
+// plane would normally resolve this). It takes precedence over the
+// cluster's shared table.
+func (n *NIC) AddARP(ip wire.IP, mac wire.MAC) {
+	if n.arp == nil {
+		n.arp = make(map[wire.IP]wire.MAC)
+	}
+	n.arp[ip] = mac
+}
+
+// resolve maps an outbound call's destination IP to a MAC: AddARP's
+// entries first, then the cluster's shared table for any host but this
+// one, else broadcast.
+func (n *NIC) resolve(ip wire.IP) wire.MAC {
+	if mac, ok := n.arp[ip]; ok {
+		return mac
+	}
+	if mac, ok := n.peerARP[ip]; ok && ip != n.cfg.Local.IP {
+		return mac
+	}
+	return wire.BroadcastMAC
+}
 
 // deliverClientResponse routes an inbound RPC response to its waiting
 // client channel.

@@ -40,22 +40,22 @@ type lhDriver struct {
 func newLHDriver(p stackdrv.HostParams, dmaThreshold int) *lhDriver {
 	cfg := DefaultHostConfig(p.Endpoint, p.Cores)
 	cfg.NIC.DMAThreshold = dmaThreshold
-	return &lhDriver{host: NewHost(p.Sim, cfg), services: p.Services}
+	h := NewHost(p.Sim, cfg)
+	h.NIC.frames = p.Pool
+	return &lhDriver{host: h, services: p.Services}
 }
 
 func (d *lhDriver) Kernel() *kernel.Kernel              { return d.host.K }
 func (d *lhDriver) FramePort() fabric.FramePort         { return d.host.NIC }
 func (d *lhDriver) AttachLink(l *fabric.Link, side int) { d.host.NIC.AttachLink(l, side) }
 
-func (d *lhDriver) Start(peers []wire.Endpoint) {
+func (d *lhDriver) Start(arp map[wire.IP]wire.MAC) {
 	for _, ss := range d.services {
 		d.host.RegisterService(ss.Desc, ss.Port, ss.MinWorkers)
 	}
-	// A static ARP entry per peer host lets nested calls address them
+	// The universe's ARP table lets nested calls address peer hosts
 	// without per-experiment plumbing.
-	for _, ep := range peers {
-		d.host.NIC.AddARP(ep.IP, ep.MAC)
-	}
+	d.host.NIC.peerARP = arp
 	d.host.Start()
 }
 

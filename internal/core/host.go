@@ -85,7 +85,9 @@ type Host struct {
 // AsyncHandler is a suspending request handler: it may consume CPU via tc
 // and issue nested outbound RPCs (Host.Call) before invoking respond
 // exactly once. coreID identifies the core the handler runs on (for
-// Host.Call's channel).
+// Host.Call's channel). req is the worker's reassembly scratch, live
+// only until respond is called: the next request on the core overwrites
+// it, so a handler must not keep it (or pass it on) past respond.
 type AsyncHandler func(tc *kernel.TC, coreID int, req []byte, respond func(status uint16, body []byte))
 
 // NewHost builds the host. Call RegisterService for each service, then
@@ -297,6 +299,7 @@ type worker struct {
 	p        parsedDispatch
 	respAddr mesi.LineAddr
 	body     []byte
+	bodyScr  []byte // inline+aux reassembly scratch, reused per request
 	handler  func(req []byte) (resp []byte, service sim.Time)
 	status   uint16
 	respBody []byte
@@ -526,11 +529,8 @@ func (w *worker) serve() {
 	case p.Buf:
 		w.body = h.NIC.DMABody(p.Serial)
 	case p.BodyLen > len(p.Inline):
-		aux := h.NIC.AuxBody(p.Serial)
-		full := make([]byte, 0, p.BodyLen)
-		full = append(full, p.Inline...)
-		full = append(full, aux...)
-		w.body = full
+		w.bodyScr = append(append(w.bodyScr[:0], p.Inline...), h.NIC.AuxBody(p.Serial)...)
+		w.body = w.bodyScr
 		w.auxStall = sim.Time(h.NIC.AuxLines(p.BodyLen)) * h.cfg.NIC.Fabric.PerLineStream
 	}
 	if w.auxStall > 0 {

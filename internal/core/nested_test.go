@@ -199,3 +199,39 @@ func TestClientChanCoreAffinity(t *testing.T) {
 
 // nil2 builds an invalid TC for the misuse test.
 func nil2() *kernel.TC { return &kernel.TC{} }
+
+// TestResolveARP pins outbound-call address resolution against the
+// cluster's shared table: AddARP's own entries win, peers resolve from
+// the shared table, and the host's own IP — present in the shared table —
+// still resolves to broadcast, as it did when each NIC held only its
+// peers. The shared table is never written.
+func TestResolveARP(t *testing.T) {
+	n := NewNIC(sim.New(1), DefaultConfig(hostAEP), 1)
+	shared := map[wire.IP]wire.MAC{hostAEP.IP: hostAEP.MAC, hostBEP.IP: hostBEP.MAC}
+	n.peerARP = shared
+	other := wire.IP{10, 0, 0, 99}
+	for _, c := range []struct {
+		ip   wire.IP
+		want wire.MAC
+	}{
+		{hostBEP.IP, hostBEP.MAC},
+		{hostAEP.IP, wire.BroadcastMAC},
+		{other, wire.BroadcastMAC},
+	} {
+		if got := n.resolve(c.ip); got != c.want {
+			t.Errorf("resolve(%v) = %v, want %v", c.ip, got, c.want)
+		}
+	}
+	override := wire.MAC{2, 0, 0, 0, 0, 0xEE}
+	n.AddARP(hostBEP.IP, override)
+	n.AddARP(hostAEP.IP, override)
+	if got := n.resolve(hostBEP.IP); got != override {
+		t.Errorf("AddARP entry lost to the shared table: got %v", got)
+	}
+	if got := n.resolve(hostAEP.IP); got != override {
+		t.Errorf("AddARP entry for the own IP ignored: got %v", got)
+	}
+	if len(shared) != 2 || shared[hostBEP.IP] != hostBEP.MAC {
+		t.Errorf("shared table written: %v", shared)
+	}
+}

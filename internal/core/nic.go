@@ -129,7 +129,8 @@ type inflight struct {
 	svc      uint32
 	method   uint16
 	rpcID    uint64
-	body     []byte
+	body     []byte // aliases frame
+	frame    []byte // the delivered request, kept until the response is encoded
 	client   wire.Endpoint
 	arriveAt sim.Time
 	// viaDMA marks a large request whose body was DMA'd to host memory
@@ -179,6 +180,11 @@ type NIC struct {
 
 	link *fabric.Link
 	side int
+	// frames, when non-nil (cluster-built hosts), recycles frame buffers:
+	// the NIC builds every frame it transmits from the pool and Puts
+	// every frame it terminally consumes (see wire.FramePool's ownership
+	// contract).
+	frames *wire.FramePool
 
 	endpoints map[uint32]*Endpoint
 	byPort    map[uint16]*Endpoint
@@ -200,8 +206,11 @@ type NIC struct {
 	awaiting map[mesi.LineAddr]uint64
 
 	// auxOut[serial] carries response body bytes beyond the inline chunk
-	// (the contents of the aux cache lines).
-	auxOut map[uint64][]byte
+	// (the contents of the aux cache lines, or of the DMA buffer). The
+	// buffers come from auxFree and return to it once transmitResponse
+	// has merged them.
+	auxOut  map[uint64][]byte
+	auxFree [][]byte
 
 	// sched mirror: per-core PID pushed by the kernel (§4: the OS keeps
 	// the NIC updated with scheduling state).
@@ -224,12 +233,14 @@ type NIC struct {
 
 	// Per-NIC staging scratch: the receive path parses frames into rxScr
 	// and appends it by value onto decq; decodeDone copies the head slot
-	// into dispScr before dispatching. encScr backs synchronous response
-	// encodings (BuildUDP copies the payload into the frame before txRPC
-	// returns). All three are reused every packet, so the steady-state
-	// receive/transmit paths allocate nothing.
+	// into dispScr before dispatching. bodyScr merges a response's inline
+	// and aux bytes, and encScr backs synchronous response encodings
+	// (AppendMessage copies the body, BuildUDP copies the payload into the
+	// frame before txRPC returns). All are reused every packet, so the
+	// steady-state receive/transmit paths allocate nothing.
 	rxScr   decoded
 	dispScr decoded
+	bodyScr []byte
 	encScr  []byte
 	// lineScr backs dispatch/marker control-line builds whose consumer
 	// copies the line synchronously (the directory's deliver path); the
@@ -256,7 +267,10 @@ type NIC struct {
 	clientStaged map[mesi.LineAddr]struct{}
 	clientAuxIn  map[uint64][]byte
 	clientAuxOut map[uint64][]byte
-	arp          map[wire.IP]wire.MAC
+	// arp holds AddARP's entries; peerARP is the cluster's table of every
+	// host, shared read-only by all NICs of a universe (see resolve).
+	arp     map[wire.IP]wire.MAC
+	peerARP map[wire.IP]wire.MAC
 
 	// telemetry is the §6 per-service statistics block, readable by the
 	// OS over the kernel control channel.
@@ -310,7 +324,6 @@ func NewNIC(s *sim.Sim, cfg Config, nCores int) *NIC {
 		clientStaged:  make(map[mesi.LineAddr]struct{}),
 		clientAuxIn:   make(map[uint64][]byte),
 		clientAuxOut:  make(map[uint64][]byte),
-		arp:           make(map[wire.IP]wire.MAC),
 		telemetry:     make(map[uint32]*SvcTelemetry),
 	}
 	if cfg.DMAThreshold > 0 && !cfg.DMA.HasDMA {
@@ -853,21 +866,33 @@ func (n *NIC) AuxLines(bodyLen int) int {
 
 // WriteAuxResponse stores the response body overflow (the CPU's stores to
 // aux lines); timing is charged by the host loop.
+//
+//lhlint:hotpath
 func (n *NIC) WriteAuxResponse(serial uint64, rest []byte) {
-	cp := make([]byte, len(rest))
-	copy(cp, rest)
-	n.auxOut[serial] = cp
+	n.stageAux(serial, rest)
 }
 
 // WriteDMAResponse places a large response body in a host DMA buffer; the
 // NIC pulls it with its DMA engine before transmitting (§6 fallback).
 func (n *NIC) WriteDMAResponse(serial uint64, body []byte) {
-	cp := make([]byte, len(body))
-	copy(cp, body)
-	n.auxOut[serial] = cp
+	n.stageAux(serial, body)
 	if req := n.inflights[serial]; req != nil {
 		req.dmaResp = true
 	}
+}
+
+// stageAux copies response bytes the CPU wrote outside the control line
+// into a recycled buffer, keyed by the request's serial.
+//
+//lhlint:hotpath
+func (n *NIC) stageAux(serial uint64, b []byte) {
+	var buf []byte
+	if k := len(n.auxFree); k > 0 {
+		buf = n.auxFree[k-1][:0]
+		n.auxFree[k-1] = nil
+		n.auxFree = n.auxFree[:k-1]
+	}
+	n.auxOut[serial] = append(buf, b...)
 }
 
 // DMABody returns the full request body for a buffer-dispatched request
@@ -897,17 +922,21 @@ func (n *NIC) DeliverFrame(frame []byte) {
 	dec := &n.rxScr
 	if err := wire.ParseUDPInto(frame, &dec.d); err != nil {
 		n.stats.RxBad++
+		n.frames.Put(frame)
 		return
 	}
 	if dec.d.IP.Dst != n.cfg.Local.IP {
 		// Switched fabrics flood frames for unlearned MACs; not ours.
 		n.stats.RxFiltered++
+		n.frames.Put(frame)
 		return
 	}
 	if err := rpc.DecodeInto(dec.d.Payload, &dec.msg); err != nil {
 		n.stats.RxBad++
+		n.frames.Put(frame)
 		return
 	}
+	dec.frame = frame
 	lat := n.cfg.HeaderParse + n.cfg.DecodeFixed + sim.Time(len(dec.msg.Body))*n.cfg.DecodePerByte
 	if dec.msg.Flags&rpc.FlagEncrypted != 0 {
 		lat += sim.Time(len(dec.msg.Body)) * n.cfg.DecryptPerByte
@@ -926,10 +955,12 @@ func (n *NIC) DeliverFrame(frame []byte) {
 }
 
 // decoded is one packet staged by value between the decode pipeline and
-// dispatch; Datagram.Payload and Message.Body alias the delivered frame.
+// dispatch; Datagram.Payload and Message.Body alias the delivered frame,
+// which the NIC now owns.
 type decoded struct {
-	d   wire.Datagram
-	msg rpc.Message
+	d     wire.Datagram
+	msg   rpc.Message
+	frame []byte
 }
 
 // decodeDone dispatches the oldest staged packet; it is the single bound
@@ -948,9 +979,10 @@ func (n *NIC) decodeDone() {
 		n.decHead = 0
 	}
 	if n.dispScr.msg.IsRequest() {
-		n.admit(&n.dispScr.d, &n.dispScr.msg)
+		n.admit(&n.dispScr)
 	} else {
 		n.deliverClientResponse(&n.dispScr.msg)
+		n.frames.Put(n.dispScr.frame)
 	}
 }
 
@@ -958,10 +990,12 @@ func (n *NIC) decodeDone() {
 // queues it.
 //
 //lhlint:hotpath
-func (n *NIC) admit(d *wire.Datagram, msg *rpc.Message) {
+func (n *NIC) admit(dec *decoded) {
+	d, msg := &dec.d, &dec.msg
 	ep := n.byPort[d.UDP.DstPort]
 	if ep == nil || ep.Svc != msg.Service {
 		n.stats.RxBad++
+		n.frames.Put(dec.frame)
 		return
 	}
 	if _, ok := ep.methods[msg.Method]; !ok {
@@ -970,18 +1004,20 @@ func (n *NIC) admit(d *wire.Datagram, msg *rpc.Message) {
 		n.stats.RxFrames++
 		n.txRPC(wire.Endpoint{MAC: d.Eth.Src, IP: d.IP.Src, Port: d.UDP.SrcPort},
 			rpc.EncodeResponse(msg.Service, msg.Method, msg.ID, rpc.StatusNoSuchMethod, nil))
+		n.frames.Put(dec.frame)
 		return
 	}
 	n.stats.RxFrames++
-	// The body aliases the delivered frame: frames are allocated per send
-	// and never recycled, so the request can reference the payload in
-	// place for its whole inflight lifetime instead of copying it.
+	// The body aliases the delivered frame, which the inflight keeps
+	// until the response is encoded (or the request is dropped), so the
+	// request references the payload in place instead of copying it.
 	req := n.newInflight()
 	req.serial = n.nextSerial
 	req.svc = msg.Service
 	req.method = msg.Method
 	req.rpcID = msg.ID
 	req.body = msg.Body
+	req.frame = dec.frame
 	req.client = wire.Endpoint{MAC: d.Eth.Src, IP: d.IP.Src, Port: d.UDP.SrcPort}
 	req.arriveAt = n.sim.Now()
 	req.viaDMA = n.cfg.DMAThreshold > 0 && len(msg.Body) >= n.cfg.DMAThreshold
@@ -1021,6 +1057,7 @@ func (n *NIC) admit(d *wire.Datagram, msg *rpc.Message) {
 		n.stats.RxDropped++
 		n.telemetryFor(req.svc).Dropped++
 		delete(n.inflights, req.serial)
+		n.frames.Put(req.frame)
 		n.freeInflight(req)
 		return
 	}
@@ -1056,9 +1093,11 @@ func (n *NIC) transmitResponse(serial uint64, line []byte) {
 	}
 	delete(n.inflights, serial)
 	body := pr.Inline
-	if aux := n.auxOut[serial]; aux != nil {
-		body = append(append([]byte{}, pr.Inline...), aux...)
+	if aux, ok := n.auxOut[serial]; ok {
+		n.bodyScr = append(append(n.bodyScr[:0], pr.Inline...), aux...)
+		body = n.bodyScr
 		delete(n.auxOut, serial)
+		n.auxFree = append(n.auxFree, aux)
 	}
 	if len(body) > pr.BodyLen {
 		body = body[:pr.BodyLen]
@@ -1075,10 +1114,12 @@ func (n *NIC) transmitResponse(serial uint64, line []byte) {
 		return
 	}
 	// Fast path: encode into the reused scratch buffer — txRPC copies the
-	// payload into the frame before returning — then recycle the inflight
+	// payload into the frame before returning. The encoding copied the
+	// body, so the request frame is dead: recycle it and the inflight
 	// (the DMA path above must not: its closure holds req until DMA-out).
 	n.encScr = rpc.AppendMessage(n.encScr[:0],
 		rpc.Header{Kind: rpc.KindResponse, Service: req.svc, Method: req.method, ID: req.rpcID, Status: pr.Status}, body)
+	n.frames.Put(req.frame)
 	n.txRPC(req.client, n.encScr)
 	n.freeInflight(req)
 }
@@ -1094,7 +1135,7 @@ func (n *NIC) txRPC(dst wire.Endpoint, payload []byte) {
 		panic("core: NIC has no link")
 	}
 	n.ipID++
-	frame, err := wire.BuildUDP(n.cfg.Local, dst, n.ipID, payload)
+	frame, err := n.frames.BuildUDP(n.cfg.Local, dst, n.ipID, payload)
 	if err != nil {
 		panic(fmt.Sprintf("core: tx: %v", err))
 	}
@@ -1118,6 +1159,7 @@ func (n *NIC) txFire() {
 	}
 	if !n.link.Up() {
 		n.stats.TxNoCarrier++
+		n.frames.Put(frame)
 		return
 	}
 	n.stats.TxFrames++

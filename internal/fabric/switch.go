@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -294,12 +295,25 @@ func (sw *Switch) ingress(fromPort int, frame []byte) {
 		return
 	}
 	// Unknown destination (or broadcast): flood, but never out a trunk
-	// port (see the trunk field — cross-tier flooding would loop).
+	// port (see the trunk field — cross-tier flooding would loop). Each
+	// egress port gets its own buffer, as a real switch's per-port
+	// queues do: links CE-mark frames in place and terminal consumers
+	// recycle them, so one buffer must never reach two ports. The copies
+	// are taken before the original leaves, out of the last port.
 	sw.Flooded++
-	for i, p := range sw.ports {
+	last := -1
+	for i := range sw.ports {
 		if i == fromPort || sw.trunk[i] {
 			continue
 		}
+		if last >= 0 {
+			p := sw.ports[last]
+			p.link.Send(p.side, bytes.Clone(frame))
+		}
+		last = i
+	}
+	if last >= 0 {
+		p := sw.ports[last]
 		p.link.Send(p.side, frame)
 	}
 }

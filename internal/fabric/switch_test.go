@@ -200,3 +200,48 @@ func TestSwitchFDBLearningAcrossPorts(t *testing.T) {
 		t.Errorf("re-learning grew the FDB to %d", sw.FDBLen())
 	}
 }
+
+// TestSwitchFloodCopiesPerPort: a flood hands every egress port its own
+// buffer, so the CE mark one backlogged egress link applies in place
+// never reaches another port's copy.
+func TestSwitchFloodCopiesPerPort(t *testing.T) {
+	params := Net100G
+	params.ECNThreshold = 100 * sim.Nanosecond
+	s := sim.New(1)
+	sw := NewSwitch(s)
+	var hosts [3]*portRecorder
+	var links [3]*Link
+	for i := range links {
+		hosts[i] = &portRecorder{}
+		links[i] = NewLink(s, params)
+		links[i].Attach(hosts[i], sw.AttachPort(links[i], 1))
+	}
+	// 20 × 1500 B queue 2.4 us on switch -> b, still backlogged past the
+	// threshold when the flood arrives ~0.66 us later.
+	for i := 0; i < 20; i++ {
+		links[1].Send(1, txUDPFrame(t, 1500))
+	}
+	links[0].Send(0, txUDPFrame(t, 64)) // a -> b's MAC, not yet learned: flood
+	s.Run()
+
+	if sw.Flooded != 1 || len(hosts[2].frames) != 1 {
+		t.Fatalf("flooded %d, c received %d frames, want 1/1", sw.Flooded, len(hosts[2].frames))
+	}
+	bCopy := hosts[1].frames[len(hosts[1].frames)-1]
+	if d, err := wire.ParseUDP(bCopy); err != nil || !wire.IsCE(d.IP.TOS) {
+		t.Fatalf("b's flood copy not CE-marked behind its backlog (err %v)", err)
+	}
+	d, err := wire.ParseUDP(hosts[2].frames[0])
+	if err != nil {
+		t.Fatalf("c's flood copy unparseable (IP checksum): %v", err)
+	}
+	if wire.IsCE(d.IP.TOS) {
+		t.Fatal("c's flood copy carries the CE mark b's link applied")
+	}
+	if links[2].Marked(1) != 0 {
+		t.Fatalf("link c marked %d frames, want 0", links[2].Marked(1))
+	}
+	if &bCopy[0] == &hosts[2].frames[0][0] {
+		t.Fatal("b and c received the same buffer")
+	}
+}

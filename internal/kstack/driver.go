@@ -55,7 +55,7 @@ func (d *driver) Kernel() *kernel.Kernel              { return d.k }
 func (d *driver) FramePort() fabric.FramePort         { return d.nic }
 func (d *driver) AttachLink(l *fabric.Link, side int) { d.nic.AttachLink(l, side) }
 
-func (d *driver) Start(peers []wire.Endpoint) {
+func (d *driver) Start(map[wire.IP]wire.MAC) {
 	st := New(d.k, d.nic, d.local, DefaultCosts())
 	reg := rpc.NewRegistry()
 	d.servedBy = make(map[uint32]*uint64, len(d.services))

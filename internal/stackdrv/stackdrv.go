@@ -120,6 +120,12 @@ type HostParams struct {
 	// Fabric places the host in the cluster's switch fabric. It is set
 	// both at validation time (Check) and at provisioning time (New).
 	Fabric FabricInfo
+	// Pool is the frame free list of the host's Sim (see
+	// wire.FramePool's ownership contract): a driver whose NIC builds
+	// frames from it and Puts the frames it terminally consumes recycles
+	// its buffers. Nil outside the cluster builder, where frames are
+	// plain allocations.
+	Pool *wire.FramePool
 }
 
 // Instance is one provisioned host-side stack. The cluster builder calls
@@ -136,9 +142,11 @@ type Instance interface {
 	// AttachLink tells the NIC which link side it transmits on.
 	AttachLink(l *fabric.Link, side int)
 	// Start registers the instance's services and spawns its workers.
-	// peers are the other hosts' endpoints, in cluster spec order, for
-	// stacks that keep static neighbour state (Lauberhorn's ARP mesh).
-	Start(peers []wire.Endpoint)
+	// arp maps every host's IP in the universe to its MAC, the
+	// instance's own entry included, for stacks that keep static
+	// neighbour state (Lauberhorn's ARP mesh). One table is shared by
+	// every host, across shard goroutines too, so instances only read it.
+	Start(arp map[wire.IP]wire.MAC)
 	// ServedFor returns requests completed for one service ID, and
 	// whether the instance exports that service at all.
 	ServedFor(svc uint32) (uint64, bool)

@@ -93,9 +93,9 @@ type Params struct {
 	// meaningless here — transports source control traffic from their
 	// own reserved port).
 	Self wire.Endpoint
-	// Pool is the machine Sim's frame free list, nil where pooling is
-	// unsafe (flooding topologies). A transport that terminally consumes
-	// a frame may Put it when Pool is non-nil.
+	// Pool is the machine Sim's frame free list (nil outside the cluster
+	// builder). A transport that terminally consumes a frame Puts it; a
+	// nil pool ignores the Put.
 	Pool *wire.FramePool
 }
 
@@ -257,8 +257,9 @@ type bufList struct {
 	free [][]byte
 }
 
-// get pops a buffer of length n, allocating at access-link frame
-// capacity on a miss so the list converges on copies that fit.
+// get pops a buffer of length n. A miss allocates exactly n bytes:
+// retransmit and replay copies are donated to the wire and never come
+// back, so spare capacity would only be zeroed and collected.
 //
 //lhlint:hotpath
 func (b *bufList) get(n int) []byte {
@@ -270,11 +271,7 @@ func (b *bufList) get(n int) []byte {
 			return f[:n]
 		}
 	}
-	c := n
-	if c < wire.MaxFrameLen {
-		c = wire.MaxFrameLen
-	}
-	return make([]byte, n, c)
+	return make([]byte, n)
 }
 
 // put returns a dead buffer to the free list.

@@ -1,29 +1,24 @@
 package wire
 
-// FramePool is a free list for the frame buffers BuildUDP allocates —
-// the last named allocation residue on the model hot path (ROADMAP item
-// 4): every request a generator fires and every response a stack encodes
-// is one fresh []byte without it.
+// FramePool is a free list for the frame buffers BuildUDP allocates:
+// every request a generator fires and every response a stack encodes is
+// one fresh []byte without it.
 //
 // Ownership-transfer contract. A frame built from a pool is owned by the
 // builder's caller and transfers ownership whole-hog down the tx path:
 // through the NIC, the link, and the fabric to exactly one terminal
-// consumer. The terminal consumer — and only it — may return the frame
-// with Put, and only once every alias it took (parsed Datagram payloads,
-// decoded message bodies) is dead or provably write-before-read scratch.
-// Two corollaries:
+// consumer. Every fabric delivers a buffer to at most one consumer — a
+// flooding switch sends each egress port its own copy. The terminal
+// consumer — and only it — may return the frame with Put, and only once
+// every alias it took (parsed Datagram payloads, decoded message bodies)
+// is dead or provably write-before-read scratch. A consumer that never
+// Puts simply leaves the frame to the garbage collector.
 //
-//   - Pools are only safe where unicast delivery is single-copy. A
-//     learning switch floods unknown destinations, handing the SAME
-//     buffer to several machines; none of them may Put it. The cluster
-//     builder therefore arms pools only for Direct links and routed
-//     (statically programmed, flood-free) fabrics.
-//   - A pool belongs to one shard: it is single-threaded by the same
-//     contract as the rest of the model, touched only by components on
-//     its shard's Sim. Frames routinely DIE on a different shard than
-//     they were built on; the consumer Puts into its own shard's pool,
-//     so buffers migrate between pools but each free list stays
-//     unsynchronized.
+// A pool belongs to one shard: it is single-threaded by the same
+// contract as the rest of the model, touched only by components on its
+// shard's Sim. Frames routinely DIE on a different shard than they were
+// built on; the consumer Puts into its own shard's pool, so buffers
+// migrate between pools but each free list stays unsynchronized.
 //
 // A nil *FramePool is valid and degrades to plain allocation, so pool
 // plumbing is optional everywhere.
@@ -63,10 +58,10 @@ func (p *FramePool) BuildUDP(src, dst Endpoint, ipID uint16, payload []byte) ([]
 }
 
 // get pops a cleared buffer of length n. A miss allocates exactly n
-// bytes: most frames a pool builds leave it for good (server stacks drop
-// requests without Put), so capacity beyond n would only be zeroed and
-// collected. A popped buffer too small for n (a foreign frame that
-// migrated in) is dropped rather than retried.
+// bytes: frames that leave for consumers which never Put (the DMA-NIC
+// stacks drop requests) would only have their extra capacity zeroed and
+// collected. A popped buffer too small for n (a smaller frame that came
+// back) is dropped rather than retried.
 func (p *FramePool) get(n int) []byte {
 	p.Gets++
 	if last := len(p.free) - 1; last >= 0 {

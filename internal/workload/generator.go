@@ -60,11 +60,10 @@ type Config struct {
 	Seed uint64
 
 	// Frames, when non-nil, recycles frame buffers: requests draw from
-	// the pool and consumed responses return to it (the generator is the
-	// response's terminal consumer — its parse scratch is strictly
-	// write-before-read). Only arm this where unicast delivery is
-	// single-copy (Direct links, routed fabrics); see wire.FramePool's
-	// ownership contract.
+	// the pool and every delivered frame returns to it (the generator is
+	// the terminal consumer of whatever reaches it — its parse scratch is
+	// strictly write-before-read); see wire.FramePool's ownership
+	// contract.
 	Frames *wire.FramePool
 }
 
@@ -153,52 +152,49 @@ func NewGenerator(s *sim.Sim, cfg Config, link *fabric.Link, side int) *Generato
 	return g
 }
 
-// DeliverFrame implements fabric.FramePort: record a response. A frame
-// addressed to this generator dies here — every alias it takes (rxScr's
-// payload, msgScr's body) is scratch overwritten before its next read —
-// so with a pool armed it is returned to the free list.
+// DeliverFrame implements fabric.FramePort: record a response. Every
+// frame delivered here dies here — flood copies included, since a
+// flooding switch gives each port its own — and every alias it takes
+// (rxScr's payload, msgScr's body) is scratch overwritten before its
+// next read, so with a pool armed it is returned to the free list.
 //
 //lhlint:hotpath
 func (g *Generator) DeliverFrame(frame []byte) {
-	if g.consume(frame) {
-		g.cfg.Frames.Put(frame)
-	}
+	g.consume(frame)
+	g.cfg.Frames.Put(frame)
 }
 
-// consume processes one delivered frame and reports whether this
-// generator was its single terminal consumer (frames for other machines
-// — flood copies, foreign traffic — must never be recycled).
+// consume processes one delivered frame.
 //
 //lhlint:hotpath
-func (g *Generator) consume(frame []byte) bool {
+func (g *Generator) consume(frame []byte) {
 	d := &g.rxScr
 	if err := wire.ParseUDPInto(frame, d); err != nil {
-		return false
+		return
 	}
 	if d.IP.Dst != g.cfg.Client.IP {
 		// Switched fabrics flood frames for unlearned MACs; a frame for
 		// another machine must not be matched against our in-flight IDs
 		// (all generators number requests from 1).
-		return false
+		return
 	}
 	m := &g.msgScr
 	if err := rpc.DecodeInto(d.Payload, m); err != nil || m.IsRequest() {
-		return false
+		return
 	}
 	p, ok := g.inflight[m.ID]
 	if !ok {
-		return true
+		return
 	}
 	delete(g.inflight, m.ID)
 	g.Received++
 	if m.Status != rpc.StatusOK {
 		g.Errors++
-		return true
+		return
 	}
 	rtt := int64(g.s.Now() - p.at)
 	g.Latency.Record(rtt)
 	g.PerTarget[p.target].Record(rtt)
-	return true
 }
 
 // Start begins open-loop generation until stop time (0 = forever). Call
