@@ -106,3 +106,42 @@ func TestFramePoolAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildAllocBudget pins what BuildE allocates per machine on a
+// 128-machine 3-tier Clos (e18's shape: 64 Lauberhorn servers, 64
+// clients each spraying 4 strided targets): under 16 KiB. A dense 16 KiB
+// bucket array per generator and NIC histogram makes it 55 KB per
+// machine. It reads process-wide allocation counters, so it must not run
+// in parallel with other tests.
+func TestBuildAllocBudget(t *testing.T) {
+	const n = 64
+	sp := Spec{Seed: 1, Fabric: FabricSpec{Spines: 2, LeafPorts: 4, Cores: 4, PodLeaves: 8}}
+	for i := 0; i < n; i++ {
+		sp.Hosts = append(sp.Hosts, HostSpec{
+			Name: fmt.Sprintf("srv%d", i), Stack: Lauberhorn, Cores: 1,
+			Services: []ServiceSpec{{ID: uint32(i + 1), Port: 9000 + uint16(i), Time: sim.Microsecond}},
+		})
+		targets := make([]TargetSpec, 4)
+		for k := range targets {
+			j := (i + k*(n/4)) % n
+			targets[k] = TargetSpec{Host: fmt.Sprintf("srv%d", j), Service: uint32(j + 1)}
+		}
+		sp.Clients = append(sp.Clients, ClientSpec{
+			Name: fmt.Sprintf("cli%d", i), Targets: targets,
+			Size: workload.FixedSize{N: 64}, Arrivals: workload.RatePerSec(1_500),
+		})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	u, err := BuildE(sp)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines := len(u.Hosts) + len(u.Clients)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(machines); per >= 16<<10 {
+		t.Errorf("BuildE allocated %.0f B per machine over %d machines, want < 16 KiB", per, machines)
+	} else {
+		t.Logf("BuildE allocated %.0f B per machine over %d machines", per, machines)
+	}
+}

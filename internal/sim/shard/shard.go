@@ -89,17 +89,26 @@ func NewChannel(base uint64, lookahead sim.Time, recv *sim.Sim, deliver func([]b
 // shard. Called from the sending shard's window; `at` must be at least
 // the channel's lookahead past the current window start, which the
 // fabric guarantees by construction (at = txEnd + PropDelay +
-// SwitchDelay with txEnd at or after now).
+// SwitchDelay with txEnd at or after now). The barrier checks it: a
+// frame due before the end of the window it was sent in panics there.
 func (c *Channel) Send(at sim.Time, frame []byte) {
 	c.out = append(c.out, msg{at: at, key: c.base | c.seq, frame: frame})
 	c.seq++
 }
 
 // inject is the barrier-time drain: schedule every queued frame as a
-// keyed delivery event on the receiving Sim. Coordinator-only.
-func (c *Channel) inject() {
+// keyed delivery event on the receiving Sim. windowEnd is the end of the
+// window the frames were sent in. A frame due before it breaks Send's
+// lookahead promise: the receiving shard may already have run past its
+// instant, so delivering it would reorder events, and inject panics
+// instead. Coordinator-only.
+func (c *Channel) inject(windowEnd sim.Time) {
 	for i := range c.out {
 		m := &c.out[i]
+		if m.at < windowEnd {
+			panic(fmt.Sprintf("shard: frame due at %v on a channel with lookahead %v, before the end %v of the window it was sent in",
+				m.at, c.lookahead, windowEnd))
+		}
 		c.q = append(c.q, m.frame)
 		c.recv.AtKeyed(m.at, m.key, "xshard-deliver", c.deliverEv)
 		m.frame = nil
@@ -187,9 +196,10 @@ func (x *Executor) RunUntil(t sim.Time) {
 			close(w)
 		}
 	}()
+	var end sim.Time // end of the window just run; zero before the first
 	for {
 		for _, c := range x.chans {
-			c.inject()
+			c.inject(end)
 		}
 		next := sim.Never
 		for _, s := range x.sims {
@@ -200,7 +210,7 @@ func (x *Executor) RunUntil(t sim.Time) {
 		if next > t {
 			break
 		}
-		end := next + x.window
+		end = next + x.window
 		if end > t {
 			end = t + 1
 		}

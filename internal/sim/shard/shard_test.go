@@ -144,6 +144,30 @@ func TestExecutorForwardsPanic(t *testing.T) {
 	x.RunUntil(sim.Millisecond)
 }
 
+// TestChannelLookaheadEnforced sends a frame due only half the channel's
+// lookahead after its send instant. The window it was sent in already
+// ran past that instant, so the barrier must refuse the frame rather
+// than deliver it out of order.
+func TestChannelLookaheadEnforced(t *testing.T) {
+	sa, sb := sim.New(1), sim.New(2)
+	var delivered []sim.Time
+	ab := NewChannel(sim.KeyedBase, 100*sim.Nanosecond, sb, func([]byte) {
+		delivered = append(delivered, sb.Now())
+	})
+	sa.At(0, "early", func() { ab.Send(sa.Now()+50*sim.Nanosecond, []byte("early")) })
+	x := NewExecutor([]*sim.Sim{sa, sb})
+	x.AddChannel(ab)
+	defer func() {
+		const want = "shard: frame due at 50ns on a channel with lookahead 100ns, before the end 100ns of the window it was sent in"
+		if r := recover(); r == nil {
+			t.Fatalf("no panic; the frame was delivered at %v", delivered)
+		} else if fmt.Sprint(r) != want {
+			t.Fatalf("panic %q, want %q", r, want)
+		}
+	}()
+	x.RunUntil(sim.Microsecond)
+}
+
 // TestChannelValidation pins the constructor guards.
 func TestChannelValidation(t *testing.T) {
 	s := sim.New(1)

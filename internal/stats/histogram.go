@@ -1,7 +1,8 @@
 // Package stats provides the measurement primitives used by every
 // experiment in this repository: log-bucketed latency histograms with
 // percentile queries, streaming mean/variance accumulators, and simple
-// counters, all allocation-free on the record path.
+// counters. Recording is allocation-free once a histogram's window covers
+// the sample; a histogram widens at most once per magnitude group.
 //
 // Determinism invariants: bucketing is a pure function of the recorded
 // value, percentiles and merges are independent of record order, and
@@ -20,17 +21,28 @@ import (
 // Histogram records non-negative int64 samples (typically latencies in
 // picoseconds) into log2 buckets with linear sub-buckets, in the style of
 // HDR histograms. With subBits = 5 the relative error of any recorded value
-// is below ~3%, which is ample for percentile reporting while keeping the
-// structure a few KiB.
+// is below ~3%, which is ample for percentile reporting.
+//
+// The bucket layout spans all of int64 (numBuckets buckets, 16 KiB of
+// counts), but a histogram stores only a window of it, in whole magnitude
+// groups of subBuckets buckets (256 B each). NewHistogram allocates no
+// counts; the first sample allocates its group, and a sample outside the
+// window widens it to the union of whole groups, copying the counts. The
+// window never shrinks, and buckets outside it are zero by construction,
+// so a latency histogram whose samples span a few powers of two holds a
+// few hundred bytes to a couple of KiB. The zero Histogram is not usable;
+// call NewHistogram.
 type Histogram struct {
+	// counts holds buckets [lo, lo+len(counts)); lo is a multiple of
+	// subBuckets and len(counts) is too.
 	counts []uint64
+	lo     int
 	count  uint64
 	sum    float64
 	min    int64
 	max    int64
 	// maxIdx is the highest occupied bucket index (-1 when empty), so
-	// percentile scans stop at the occupied prefix instead of walking all
-	// 2048 buckets.
+	// percentile scans stop at the occupied part of the window.
 	maxIdx int
 }
 
@@ -45,7 +57,6 @@ const (
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
 	return &Histogram{
-		counts: make([]uint64, numBuckets),
 		min:    math.MaxInt64,
 		max:    math.MinInt64,
 		maxIdx: -1,
@@ -101,7 +112,12 @@ func (h *Histogram) Record(v int64) {
 		v = 0
 	}
 	i := bucketIndex(v)
-	h.counts[i]++
+	if j := uint(i - h.lo); j < uint(len(h.counts)) {
+		h.counts[j]++
+	} else {
+		h.widen(i, i)
+		h.counts[i-h.lo]++
+	}
 	if i > h.maxIdx {
 		h.maxIdx = i
 	}
@@ -126,7 +142,12 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 		v = 0
 	}
 	i := bucketIndex(v)
-	h.counts[i] += n
+	if j := uint(i - h.lo); j < uint(len(h.counts)) {
+		h.counts[j] += n
+	} else {
+		h.widen(i, i)
+		h.counts[i-h.lo] += n
+	}
 	if i > h.maxIdx {
 		h.maxIdx = i
 	}
@@ -138,6 +159,23 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// widen grows the window to cover buckets first..last: the union of the
+// magnitude groups it holds and those of first and last. The counts move
+// to a fresh slice; the window never shrinks.
+func (h *Histogram) widen(first, last int) {
+	lo := first &^ (subBuckets - 1)
+	hi := (last | (subBuckets - 1)) + 1
+	if len(h.counts) > 0 {
+		lo = min(lo, h.lo)
+		hi = max(hi, h.lo+len(h.counts))
+	}
+	counts := make([]uint64, hi-lo)
+	if len(h.counts) > 0 {
+		copy(counts[h.lo-lo:], h.counts)
+	}
+	h.counts, h.lo = counts, lo
 }
 
 // Count returns the number of recorded samples.
@@ -188,8 +226,8 @@ func (h *Histogram) Percentile(q float64) int64 {
 		rank = h.count
 	}
 	var seen uint64
-	for i := 0; i <= h.maxIdx; i++ {
-		seen += h.counts[i]
+	for i := h.lo; i <= h.maxIdx; i++ {
+		seen += h.counts[i-h.lo]
 		if seen >= rank {
 			return h.clampMid(i)
 		}
@@ -211,8 +249,8 @@ func (h *Histogram) clampMid(i int) int64 {
 
 // Percentiles returns the values at the given quantiles, each identical
 // to the corresponding Percentile call, computed in a single scan of the
-// occupied bucket prefix rather than one rescan per quantile. The result
-// is positionally aligned with qs; qs need not be sorted.
+// occupied part of the window rather than one rescan per quantile. The
+// result is positionally aligned with qs; qs need not be sorted.
 func (h *Histogram) Percentiles(qs ...float64) []int64 {
 	out := make([]int64, len(qs))
 	if h.count == 0 || len(qs) == 0 {
@@ -251,8 +289,8 @@ func (h *Histogram) Percentiles(qs ...float64) []int64 {
 	}
 	var seen uint64
 	k := 0
-	for i := 0; i <= h.maxIdx && k < len(order); i++ {
-		seen += h.counts[i]
+	for i := h.lo; i <= h.maxIdx && k < len(order); i++ {
+		seen += h.counts[i-h.lo]
 		for k < len(order) && seen >= ranks[order[k]] {
 			out[order[k]] = h.clampMid(i)
 			k++
@@ -269,8 +307,12 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.count == 0 {
 		return
 	}
-	for i := 0; i <= other.maxIdx; i++ {
-		h.counts[i] += other.counts[i]
+	if other.lo < h.lo || other.maxIdx >= h.lo+len(h.counts) {
+		h.widen(other.lo, other.maxIdx)
+	}
+	dst := h.counts[other.lo-h.lo:]
+	for i, c := range other.counts[:other.maxIdx+1-other.lo] {
+		dst[i] += c
 	}
 	if other.maxIdx > h.maxIdx {
 		h.maxIdx = other.maxIdx
@@ -285,11 +327,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset clears the histogram.
+// Reset clears the histogram, keeping its window.
 func (h *Histogram) Reset() {
-	for i := 0; i <= h.maxIdx; i++ {
-		h.counts[i] = 0
-	}
+	clear(h.counts)
 	h.count = 0
 	h.sum = 0
 	h.min = math.MaxInt64
