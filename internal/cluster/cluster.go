@@ -383,9 +383,10 @@ func autoClientEP(i int) wire.Endpoint {
 // Validate checks the spec for the mistakes that would otherwise surface
 // as baffling simulation behavior: structural errors (duplicate names,
 // missing cores/services/sizes, endpoint collisions, unknown targets or
-// stacks) plus each host driver's own topology check (e.g. the bypass
-// port-steering collision). BuildE returns exactly these errors; Build
-// panics on them.
+// stacks), negative link parameters (Net and Fabric.Uplink, through
+// fabric.NetParams.Validate) and service times, plus each host driver's
+// own topology check (e.g. the bypass port-steering collision). BuildE
+// returns exactly these errors; Build panics on them.
 func (sp *Spec) Validate() error {
 	if len(sp.Hosts) == 0 {
 		return fmt.Errorf("cluster: spec has no hosts")
@@ -435,6 +436,12 @@ func (sp *Spec) Validate() error {
 	if _, ok := transport.Lookup(sp.Transport); !ok {
 		return fmt.Errorf("cluster: unknown transport %d", int(sp.Transport))
 	}
+	if err := sp.Net.Validate(); err != nil {
+		return fmt.Errorf("cluster: Net: %w", err)
+	}
+	if err := sp.Fabric.Uplink.Validate(); err != nil {
+		return fmt.Errorf("cluster: Fabric.Uplink: %w", err)
+	}
 	if err := sp.validateFabric(); err != nil {
 		return err
 	}
@@ -471,6 +478,9 @@ func (sp *Spec) Validate() error {
 				return fmt.Errorf("cluster: host %q binds port %d twice", h.Name, svc.Port)
 			}
 			ports[svc.Port] = true
+			if svc.Time < 0 {
+				return fmt.Errorf("cluster: host %q service %d has negative Time %v", h.Name, svc.ID, svc.Time)
+			}
 		}
 		ent, ok := stackdrv.Lookup(h.Stack)
 		if !ok {
@@ -749,9 +759,9 @@ func BuildE(sp Spec) (*Universe, error) {
 	// claim the low port indices (and, in multi-tier fabrics, the low
 	// leaf slots).
 	if u.exec != nil {
-		u.Topo = fabric.NewTopologySharded(s, sp.topoSpec(net), u.leafSim, u.exec)
+		u.Topo = fabric.NewTopologySharded(s, u.topoSpec(net), u.leafSim, u.exec)
 	} else if sp.Fabric.multiTier() {
-		u.Topo = fabric.NewTopology(s, sp.topoSpec(net))
+		u.Topo = fabric.NewTopology(s, u.topoSpec(net))
 	} else if !sp.Direct {
 		u.Switch = fabric.NewSwitch(s)
 	}
@@ -786,8 +796,10 @@ func BuildE(sp Spec) (*Universe, error) {
 	return u, nil
 }
 
-// topoSpec lowers the FabricSpec to the fabric package's TopoSpec.
-func (sp *Spec) topoSpec(net fabric.NetParams) fabric.TopoSpec {
+// topoSpec lowers the FabricSpec to the fabric package's TopoSpec, whose
+// links recycle the frames they drop into the universe's per-Sim pools.
+func (u *Universe) topoSpec(net fabric.NetParams) fabric.TopoSpec {
+	sp := &u.Spec
 	up := sp.Fabric.Uplink
 	if up.Bandwidth == 0 {
 		up = net
@@ -798,7 +810,7 @@ func (sp *Spec) topoSpec(net fabric.NetParams) fabric.TopoSpec {
 		// index DeriveSeed will ever see.
 		seed = DeriveSeed(sp.Seed, 1<<16)
 	}
-	ts := fabric.TopoSpec{LeafPorts: sp.Fabric.LeafPorts, Uplink: up, ECMPSeed: seed}
+	ts := fabric.TopoSpec{LeafPorts: sp.Fabric.LeafPorts, Uplink: up, ECMPSeed: seed, Pools: u.FramePool}
 	if sp.Fabric.RingSwitches > 0 {
 		ts.Kind = fabric.TopoRing
 		ts.Switches = sp.Fabric.RingSwitches

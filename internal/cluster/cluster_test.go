@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"lauberhorn/internal/fabric"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/wire"
 	"lauberhorn/internal/workload"
@@ -251,6 +253,71 @@ func TestValidateAndBuildE(t *testing.T) {
 	u, err := BuildE(good)
 	if err != nil || u == nil || u.Host("h") == nil {
 		t.Fatalf("BuildE on valid spec = (%v, %v)", u, err)
+	}
+}
+
+// TestValidateRejectsNegativeParams pins the exact errors for negative
+// link parameters and service times. Each spec differs from a valid one
+// in one field; without the checks BuildE panicked on the bandwidth
+// ("fabric: link bandwidth must be positive"), and a negative service
+// time panicked mid-run on Lauberhorn and bypass hosts ("kernel:
+// negative Run duration").
+func TestValidateRejectsNegativeParams(t *testing.T) {
+	spec := func(stack Stack, edit func(*Spec)) Spec {
+		sp := Spec{
+			Hosts:   []HostSpec{echoHost("h", stack, 1, 1, 0, 9000, sim.Microsecond)},
+			Clients: []ClientSpec{{Name: "c", Size: workload.FixedSize{N: 64}}},
+		}
+		edit(&sp)
+		return sp
+	}
+	spineLeaf := func(sp *Spec) { sp.Fabric = FabricSpec{Spines: 1, LeafPorts: 2} }
+	cases := []struct {
+		name string
+		sp   Spec
+		want string
+	}{
+		{"net-bandwidth", spec(Lauberhorn, func(sp *Spec) { sp.Net = fabric.Net100G; sp.Net.Bandwidth = -1 }),
+			"cluster: Net: fabric: link Bandwidth -1 B/ns must be >= 0"},
+		{"net-bandwidth-nan", spec(Lauberhorn, func(sp *Spec) { sp.Net = fabric.Net100G; sp.Net.Bandwidth = math.NaN() }),
+			"cluster: Net: fabric: link Bandwidth NaN B/ns must be >= 0"},
+		{"net-prop-delay", spec(Lauberhorn, func(sp *Spec) { sp.Net = fabric.Net100G; sp.Net.PropDelay = -sim.Microsecond }),
+			"cluster: Net: fabric: link PropDelay -1us must be >= 0"},
+		{"net-switch-delay", spec(Lauberhorn, func(sp *Spec) { sp.Net = fabric.Net100G; sp.Net.SwitchDelay = -sim.Nanosecond }),
+			"cluster: Net: fabric: link SwitchDelay -1ns must be >= 0"},
+		{"net-queue-limit", spec(Lauberhorn, func(sp *Spec) { sp.Net = fabric.Net100G; sp.Net.QueueLimit = -1 }),
+			"cluster: Net: fabric: link QueueLimit -1ps must be >= 0"},
+		{"net-ecn-threshold", spec(Lauberhorn, func(sp *Spec) { sp.Net = fabric.Net100G; sp.Net.ECNThreshold = -sim.Microsecond }),
+			"cluster: Net: fabric: link ECNThreshold -1us must be >= 0"},
+		{"uplink-bandwidth", spec(Lauberhorn, func(sp *Spec) {
+			spineLeaf(sp)
+			sp.Fabric.Uplink = fabric.Net100G
+			sp.Fabric.Uplink.Bandwidth = -1
+		}), "cluster: Fabric.Uplink: fabric: link Bandwidth -1 B/ns must be >= 0"},
+		{"uplink-prop-delay", spec(Lauberhorn, func(sp *Spec) {
+			spineLeaf(sp)
+			sp.Fabric.Uplink = fabric.Net100G
+			sp.Fabric.Uplink.PropDelay = -sim.Microsecond
+		}), "cluster: Fabric.Uplink: fabric: link PropDelay -1us must be >= 0"},
+		{"service-time-lauberhorn", spec(Lauberhorn, func(sp *Spec) { sp.Hosts[0].Services[0].Time = -sim.Microsecond }),
+			`cluster: host "h" service 1 has negative Time -1us`},
+		{"service-time-bypass", spec(Bypass, func(sp *Spec) { sp.Hosts[0].Services[0].Time = -sim.Microsecond }),
+			`cluster: host "h" service 1 has negative Time -1us`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.sp.Validate(); err == nil || err.Error() != tc.want {
+				t.Fatalf("Validate() = %v, want %q", err, tc.want)
+			}
+			if u, err := BuildE(tc.sp); u != nil || err == nil || err.Error() != tc.want {
+				t.Fatalf("BuildE() = (%v, %v), want (nil, %q)", u, err, tc.want)
+			}
+		})
+	}
+	for _, stack := range []Stack{Lauberhorn, Bypass} {
+		if sp := spec(stack, spineLeaf); sp.Validate() != nil {
+			t.Fatalf("%s: the unedited spec is invalid: %v", stack.Label(), sp.Validate())
+		}
 	}
 }
 

@@ -107,6 +107,65 @@ func TestFramePoolAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRetryDropAllocBudget pins drop recycling end to end: a 4 KiB
+// incast through a learning switch under the retry transport, whose
+// 10GbE access queue to the server tail-drops most of every burst (and
+// most retransmits). Once warm it must allocate under 1 KiB of Go heap
+// per request sent. Frames the links drop go back to the pools, and the
+// retransmits are pooled copies; when each left a fresh 4 KiB buffer to
+// the garbage collector, it allocated 16.5 KB per request. It reads
+// process-wide allocation counters, so it must not run in parallel with
+// other tests.
+func TestRetryDropAllocBudget(t *testing.T) {
+	ack := make([]byte, 16)
+	sp := Spec{
+		Seed: 5,
+		Net: fabric.NetParams{
+			Name: "10GbE", Bandwidth: 1.25,
+			PropDelay: 400 * sim.Nanosecond, SwitchDelay: 250 * sim.Nanosecond,
+			QueueLimit: 20 * sim.Microsecond,
+		},
+		Hosts: []HostSpec{{Name: "srv", Stack: Lauberhorn, Cores: 2, Services: []ServiceSpec{{
+			ID: 1, Port: 9000,
+			// A short response: the responder caches a copy of each
+			// until its done set fills, which would dominate the count.
+			Handler: func([]byte) ([]byte, sim.Time) { return ack, 500 * sim.Nanosecond },
+		}}}},
+		Transport: transport.Retry,
+	}
+	for i := 0; i < 8; i++ {
+		sp.Clients = append(sp.Clients, ClientSpec{
+			Name: fmt.Sprint("c", i), Size: workload.FixedSize{N: 4096},
+			Arrivals: &workload.Burst{B: 4, Period: 250 * sim.Microsecond},
+		})
+	}
+	u := Build(sp)
+	sentAll := func() (n uint64) {
+		for _, c := range u.Clients {
+			n += c.Gen.Sent
+		}
+		return n
+	}
+	// The warm-up outlasts a request's full retransmit schedule (31 ms),
+	// so the retransmit masters have reached their steady-state count.
+	u.StartClients()
+	u.RunUntil(40 * sim.Millisecond)
+	sent0, drops0 := sentAll(), u.DroppedFrames()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	u.RunUntil(60 * sim.Millisecond)
+	runtime.ReadMemStats(&after)
+	sent, drops := sentAll()-sent0, u.DroppedFrames()-drops0
+	if drops < sent {
+		t.Fatalf("%d drops for %d requests: the access queue must drop most of each burst", drops, sent)
+	}
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / float64(sent); per >= 1024 {
+		t.Errorf("%.0f B allocated per request, want < 1024 (%d requests, %d drops)", per, sent, drops)
+	} else {
+		t.Logf("%.0f B allocated per request over %d requests and %d drops", per, sent, drops)
+	}
+}
+
 // TestBuildAllocBudget pins what BuildE allocates per machine on a
 // 128-machine 3-tier Clos (e18's shape: 64 Lauberhorn servers, 64
 // clients each spraying 4 strided targets): under 16 KiB. A dense 16 KiB

@@ -206,11 +206,11 @@ func (h *Host) attachLink(u *Universe, net fabric.NetParams) {
 		h.LinkSide = 1
 		h.Link.Attach(u.Clients[0].port, wrapPort(h.Trans, h.Inst.FramePort()))
 	case u.Topo != nil:
-		h.Link = fabric.NewLink(h.sim, net)
+		h.Link = u.newLink(h.sim, net)
 		h.LinkSide = 0
 		h.Leaf = u.Topo.Attach(h.EP.MAC, h.Link, wrapPort(h.Trans, h.Inst.FramePort()))
 	default:
-		h.Link = fabric.NewLink(u.S, net)
+		h.Link = u.newLink(u.S, net)
 		h.LinkSide = 0
 		port := u.Switch.AttachPort(h.Link, 1)
 		h.Link.Attach(wrapPort(h.Trans, h.Inst.FramePort()), port)
@@ -350,7 +350,7 @@ func newClient(u *Universe, spec *ClientSpec, index int, net fabric.NetParams) *
 		cfg.Seed = DeriveSeed(u.Spec.Seed, index)
 	}
 
-	c.Link = fabric.NewLink(s, net)
+	c.Link = u.newLink(s, net)
 	c.Trans = u.newTransport(s, c.EP)
 	switch {
 	case u.Spec.Direct:
@@ -369,6 +369,16 @@ func newClient(u *Universe, spec *ClientSpec, index int, net fabric.NetParams) *
 		c.Trans.BindLink(c.Link, 0)
 	}
 	return c
+}
+
+// newLink builds a machine's access link on s. Access links are never
+// split, so both sides recycle the frames they drop into s's pool.
+func (u *Universe) newLink(s *sim.Sim, net fabric.NetParams) *fabric.Link {
+	l := fabric.NewLink(s, net)
+	p := u.pools[s]
+	l.SetPool(0, p)
+	l.SetPool(1, p)
+	return l
 }
 
 // newTransport provisions one endpoint's transport instance, or nil for

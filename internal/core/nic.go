@@ -912,6 +912,20 @@ func (n *NIC) DMABody(serial uint64) []byte {
 //
 //lhlint:hotpath
 func (n *NIC) DeliverFrame(frame []byte) {
+	if err := wire.ParseUDPInto(frame, &n.rxScr.d); err != nil {
+		n.stats.RxBad++
+		n.frames.Put(frame)
+		return
+	}
+	n.DeliverDatagram(frame, &n.rxScr.d)
+}
+
+// DeliverDatagram is DeliverFrame for a frame already parsed into d —
+// by a transport's receive half, which ran the same full parse — so the
+// frame's checksums are verified once on this host.
+//
+//lhlint:hotpath
+func (n *NIC) DeliverDatagram(frame []byte, d *wire.Datagram) {
 	// The pipeline accepts a new packet each initiation interval; model
 	// the engine as busy until the current packet clears the slowest
 	// stage.
@@ -920,10 +934,8 @@ func (n *NIC) DeliverFrame(frame []byte) {
 		start = n.decodeBusy
 	}
 	dec := &n.rxScr
-	if err := wire.ParseUDPInto(frame, &dec.d); err != nil {
-		n.stats.RxBad++
-		n.frames.Put(frame)
-		return
+	if d != &dec.d {
+		dec.d = *d
 	}
 	if dec.d.IP.Dst != n.cfg.Local.IP {
 		// Switched fabrics flood frames for unlearned MACs; not ours.

@@ -31,6 +31,30 @@ type NetParams struct {
 	ECNThreshold sim.Time
 }
 
+// Validate rejects parameters no link can run with: a negative (or NaN)
+// Bandwidth, PropDelay, SwitchDelay, QueueLimit or ECNThreshold. A zero
+// Bandwidth passes, since builders read it as "use the default"; NewLink
+// itself still requires a positive one.
+func (n NetParams) Validate() error {
+	if !(n.Bandwidth >= 0) {
+		return fmt.Errorf("fabric: link Bandwidth %g B/ns must be >= 0", n.Bandwidth)
+	}
+	for _, f := range [...]struct {
+		name string
+		t    sim.Time
+	}{
+		{"PropDelay", n.PropDelay},
+		{"SwitchDelay", n.SwitchDelay},
+		{"QueueLimit", n.QueueLimit},
+		{"ECNThreshold", n.ECNThreshold},
+	} {
+		if f.t < 0 {
+			return fmt.Errorf("fabric: link %s %v must be >= 0", f.name, f.t)
+		}
+	}
+	return nil
+}
+
 // Net100G is a 100 Gb/s link through a single cut-through switch, typical
 // of the rack-scale setting the paper targets.
 var Net100G = NetParams{
@@ -137,6 +161,11 @@ type Link struct {
 	// first SendFlow so packet-only links pay a nil check at most; see
 	// flow.go.
 	flows [2]*flowState
+	// pool[i] is the frame free list of side i's Sim (SetPool). Side i is
+	// the terminal consumer of every frame it drops — tail drops, drops
+	// for lack of carrier, and purges at a carrier cut — and Puts each
+	// one there; nil leaves them to the garbage collector.
+	pool [2]*wire.FramePool
 	// counters
 	frames  [2]uint64
 	bytes   [2]uint64
@@ -238,7 +267,8 @@ func (l *Link) ReplacePort(side int, p FramePort) {
 // The frame is delivered to the peer port after serialization, propagation
 // and switching delays; back-to-back sends queue behind each other. A
 // frame offered while the link is down, or while the transmit backlog
-// exceeds QueueLimit, is dropped and counted. When a transmit tap is
+// exceeds QueueLimit, is dropped, counted, and recycled into the side's
+// pool (SetPool). When a transmit tap is
 // installed on the sending side (SetTap), the frame is offered to it
 // before any link processing — including the carrier check, so a
 // transport observes its own sends even into a downed link.
@@ -278,6 +308,7 @@ func (l *Link) send(from int, frame []byte) {
 	now := l.sims[from].Now()
 	if l.down[from] {
 		l.dropped[from]++
+		l.pool[from].Put(frame)
 		return
 	}
 	start := now
@@ -286,6 +317,7 @@ func (l *Link) send(from int, frame []byte) {
 	}
 	if l.params.QueueLimit > 0 && start-now > l.params.QueueLimit {
 		l.dropped[from]++ // tail drop: the queue is QueueLimit deep
+		l.pool[from].Put(frame)
 		return
 	}
 	if th := l.params.ECNThreshold; th > 0 {
@@ -422,6 +454,7 @@ func (l *Link) purgeQueued(from int) {
 		q[end] = delivery{}
 		l.sims[from].Cancel(d.ev)
 		l.dropped[from]++
+		l.pool[from].Put(d.frame)
 		l.txIdle[from] = d.txStart
 	}
 	if end == len(q) {
@@ -463,6 +496,17 @@ func (l *Link) Marked(from int) uint64 { return l.marked[from] }
 
 // MarkedTotal sums CE marks over both sides.
 func (l *Link) MarkedTotal() uint64 { return l.marked[0] + l.marked[1] }
+
+// SetPool arms one side's drop recycling: every frame the side drops
+// goes to p, which must be the frame pool of the side's Sim (Sim(side)).
+// Under wire.FramePool's ownership contract a dropped frame has no other
+// consumer. Builders arm a link as they create it, before any traffic.
+func (l *Link) SetPool(side int, p *wire.FramePool) {
+	if side != 0 && side != 1 {
+		panicBadSide(side)
+	}
+	l.pool[side] = p
+}
 
 // SetTap installs (or, with nil, removes) the transmit tap for one side.
 // Send offers every frame to the tap before any link processing; a false

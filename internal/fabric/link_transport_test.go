@@ -167,3 +167,70 @@ func TestSendTapSeesFramesOnDownedLink(t *testing.T) {
 		t.Fatalf("downed link delivered %d dropped %d, want 0/1", len(b.frames), l.Dropped(0))
 	}
 }
+
+// TestLinkDropsRecycleIntoSidePool: a link side is the terminal consumer
+// of every frame it drops. Tail drops, drops for lack of carrier and
+// purges at a carrier cut each Put the dropped buffer exactly once, into
+// the dropping side's own pool, so each side's Puts equal its drops.
+func TestLinkDropsRecycleIntoSidePool(t *testing.T) {
+	cases := []struct {
+		name       string
+		queueLimit sim.Time
+		side, sent int
+		setup      func(l *Link)
+		cut        bool // take the sending side down 60 ns in
+		drops      uint64
+	}{
+		// 1500 B frames serialize in 120 ns: the third would start 240 ns
+		// in, past the 200 ns queue.
+		{name: "tail-drop", queueLimit: 200 * sim.Nanosecond, sent: 5, drops: 3},
+		{name: "no-carrier", side: 1, sent: 2, setup: func(l *Link) { l.SetUpSide(1, false) }, drops: 2},
+		{name: "purge", sent: 8, cut: true, drops: 7},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			params := Net100G
+			params.QueueLimit = tc.queueLimit
+			s, l, a, b := linkPair(t, params)
+			var pools [2]wire.FramePool
+			l.SetPool(0, &pools[0])
+			l.SetPool(1, &pools[1])
+			if tc.setup != nil {
+				tc.setup(l)
+			}
+			sent := make(map[*byte]bool)
+			for i := 0; i < tc.sent; i++ {
+				f := txUDPFrame(t, 1500)
+				sent[&f[0]] = true
+				l.Send(tc.side, f)
+			}
+			if tc.cut {
+				s.At(60*sim.Nanosecond, "cut", func() { l.SetUpSide(tc.side, false) })
+			}
+			s.Run()
+			rx := []*portRecorder{b, a}[tc.side]
+			for _, f := range rx.frames {
+				delete(sent, &f[0])
+			}
+			if got := l.Dropped(tc.side); got != tc.drops || uint64(len(sent)) != tc.drops {
+				t.Fatalf("side %d dropped %d and delivered all but %d, want %d", tc.side, got, len(sent), tc.drops)
+			}
+			if p, other := &pools[tc.side], &pools[1-tc.side]; p.Puts != tc.drops || other.Puts != 0 {
+				t.Fatalf("Puts: dropping side %d, other side %d; want %d and 0", p.Puts, other.Puts, tc.drops)
+			}
+			// Drain the pool: it must hold exactly the dropped buffers,
+			// each once.
+			p := &pools[tc.side]
+			for p.Free() > 0 {
+				f := p.Copy(make([]byte, wire.MinFrameLen))
+				if !sent[&f[0]] {
+					t.Fatal("pool holds a buffer that was not dropped, or holds one twice")
+				}
+				delete(sent, &f[0])
+			}
+			if len(sent) != 0 {
+				t.Fatalf("%d dropped frames never reached the pool", len(sent))
+			}
+		})
+	}
+}

@@ -38,14 +38,18 @@ func init() {
 }
 
 type creditT struct {
-	p     Params
-	link  *fabric.Link
-	side  int
-	inner func([]byte)
-	st    Stats
+	p    Params
+	link *fabric.Link
+	side int
+	up   upPort
+	st   Stats
 
-	dg  wire.Datagram
-	msg rpc.Message
+	// dg is the receive half's parse, handed up with the frame; txDg is
+	// the transmit tap's, kept apart so a port that sends while it reads
+	// dg (a closed-loop client) does not see it overwritten.
+	dg   wire.Datagram
+	txDg wire.Datagram
+	msg  rpc.Message
 
 	// sender role: per-destination credit state. sendList mirrors the
 	// map in first-use order for deterministic iteration.
@@ -99,7 +103,7 @@ func newCredit(p Params) Instance {
 }
 
 func (t *creditT) WrapPort(inner fabric.FramePort) fabric.FramePort {
-	t.inner = inner.DeliverFrame
+	t.up = newUpPort(inner)
 	return t
 }
 
@@ -116,15 +120,15 @@ func (t *creditT) Stats() Stats { return t.st }
 //
 //lhlint:hotpath
 func (t *creditT) onTx(frame []byte) bool {
-	if wire.ParseUDPInto(frame, &t.dg) != nil || rpc.DecodeInto(t.dg.Payload, &t.msg) != nil {
+	if wire.ParseUDPInto(frame, &t.txDg) != nil || rpc.DecodeInto(t.txDg.Payload, &t.msg) != nil {
 		return true
 	}
 	if t.msg.Kind != rpc.KindRequest {
 		return true
 	}
-	cs := t.sends[t.dg.IP.Dst.Uint32()]
+	cs := t.sends[t.txDg.IP.Dst.Uint32()]
 	if cs == nil {
-		cs = t.newSend(&t.dg)
+		cs = t.newSend(&t.txDg)
 	}
 	cs.want++
 	if cs.heldHead >= len(cs.held) && cs.sent < cs.granted+creditW0 {
@@ -195,21 +199,17 @@ func (t *creditT) sendCtrl(dst wire.Endpoint, kind byte, seq uint64) {
 //lhlint:hotpath
 func (t *creditT) DeliverFrame(frame []byte) {
 	if wire.ParseUDPInto(frame, &t.dg) != nil {
-		t.inner(frame)
+		t.up.unparsed(frame)
 		return
 	}
 	if t.dg.UDP.DstPort == CtrlPort && t.dg.IP.Dst == t.p.Self.IP {
 		t.onCtrl(frame)
 		return
 	}
-	if rpc.DecodeInto(t.dg.Payload, &t.msg) != nil {
-		t.inner(frame)
-		return
-	}
-	if t.msg.Kind == rpc.KindRequest {
+	if rpc.DecodeInto(t.dg.Payload, &t.msg) == nil && t.msg.Kind == rpc.KindRequest {
 		t.onData()
 	}
-	t.inner(frame)
+	t.up.parsed(frame, &t.dg)
 }
 
 //lhlint:hotpath

@@ -36,14 +36,18 @@ func init() {
 }
 
 type ecnT struct {
-	p     Params
-	link  *fabric.Link
-	side  int
-	inner func([]byte)
-	st    Stats
+	p    Params
+	link *fabric.Link
+	side int
+	up   upPort
+	st   Stats
 
-	dg  wire.Datagram
-	msg rpc.Message
+	// dg is the receive half's parse, handed up with the frame; txDg is
+	// the transmit tap's, kept apart so a port that sends while it reads
+	// dg (a closed-loop client) does not see it overwritten.
+	dg   wire.Datagram
+	txDg wire.Datagram
+	msg  rpc.Message
 
 	// conns is the per-destination controller state, keyed by server IP.
 	conns map[uint32]*ecnConn
@@ -77,7 +81,7 @@ func newECN(p Params) Instance {
 }
 
 func (t *ecnT) WrapPort(inner fabric.FramePort) fabric.FramePort {
-	t.inner = inner.DeliverFrame
+	t.up = newUpPort(inner)
 	return t
 }
 
@@ -94,7 +98,7 @@ func (t *ecnT) Stats() Stats { return t.st }
 //
 //lhlint:hotpath
 func (t *ecnT) onTx(frame []byte) bool {
-	if wire.ParseUDPInto(frame, &t.dg) != nil || rpc.DecodeInto(t.dg.Payload, &t.msg) != nil {
+	if wire.ParseUDPInto(frame, &t.txDg) != nil || rpc.DecodeInto(t.txDg.Payload, &t.msg) != nil {
 		return true
 	}
 	switch t.msg.Kind {
@@ -108,9 +112,9 @@ func (t *ecnT) onTx(frame []byte) bool {
 
 //lhlint:hotpath
 func (t *ecnT) admit(frame []byte) bool {
-	c := t.conns[t.dg.IP.Dst.Uint32()]
+	c := t.conns[t.txDg.IP.Dst.Uint32()]
 	if c == nil {
-		c = t.newConn(t.dg.IP.Dst.Uint32())
+		c = t.newConn(t.txDg.IP.Dst.Uint32())
 	}
 	if c.heldHead >= len(c.held) && c.inflight < int(c.wnd) {
 		c.inflight++
@@ -200,17 +204,19 @@ func (c *ecnConn) release() {
 //
 //lhlint:hotpath
 func (t *ecnT) DeliverFrame(frame []byte) {
-	if wire.ParseUDPInto(frame, &t.dg) != nil || rpc.DecodeInto(t.dg.Payload, &t.msg) != nil {
-		t.inner(frame)
+	if wire.ParseUDPInto(frame, &t.dg) != nil {
+		t.up.unparsed(frame)
 		return
 	}
-	switch t.msg.Kind {
-	case rpc.KindRequest:
-		t.noteRequest()
-	case rpc.KindResponse:
-		t.onResponse()
+	if rpc.DecodeInto(t.dg.Payload, &t.msg) == nil {
+		switch t.msg.Kind {
+		case rpc.KindRequest:
+			t.noteRequest()
+		case rpc.KindResponse:
+			t.onResponse()
+		}
 	}
-	t.inner(frame)
+	t.up.parsed(frame, &t.dg)
 }
 
 //lhlint:hotpath
@@ -229,7 +235,7 @@ func (t *ecnT) noteRequest() {
 //
 //lhlint:hotpath
 func (t *ecnT) stampEcho(frame []byte) {
-	k := reqKey{ip: t.dg.IP.Dst.Uint32(), port: t.dg.UDP.DstPort, id: t.msg.ID}
+	k := reqKey{ip: t.txDg.IP.Dst.Uint32(), port: t.txDg.UDP.DstPort, id: t.msg.ID}
 	if _, ok := t.echo[k]; !ok {
 		return
 	}

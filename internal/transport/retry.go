@@ -38,14 +38,18 @@ const (
 )
 
 type retryT struct {
-	p     Params
-	link  *fabric.Link
-	side  int
-	inner func([]byte)
-	st    Stats
+	p    Params
+	link *fabric.Link
+	side int
+	up   upPort
+	st   Stats
 
-	dg  wire.Datagram
-	msg rpc.Message
+	// dg is the receive half's parse, handed up with the frame; txDg is
+	// the transmit tap's, kept apart so a port that sends while it reads
+	// dg (a closed-loop client) does not see it overwritten.
+	dg   wire.Datagram
+	txDg wire.Datagram
+	msg  rpc.Message
 
 	// requester state: pending requests by RPC ID (IDs are unique per
 	// machine — each generator mints its own sequence).
@@ -83,7 +87,7 @@ func newRetry(p Params) Instance {
 }
 
 func (t *retryT) WrapPort(inner fabric.FramePort) fabric.FramePort {
-	t.inner = inner.DeliverFrame
+	t.up = newUpPort(inner)
 	return t
 }
 
@@ -100,7 +104,7 @@ func (t *retryT) Stats() Stats { return t.st }
 //
 //lhlint:hotpath
 func (t *retryT) onTx(frame []byte) bool {
-	if wire.ParseUDPInto(frame, &t.dg) != nil || rpc.DecodeInto(t.dg.Payload, &t.msg) != nil {
+	if wire.ParseUDPInto(frame, &t.txDg) != nil || rpc.DecodeInto(t.txDg.Payload, &t.msg) != nil {
 		return true
 	}
 	switch t.msg.Kind {
@@ -159,7 +163,7 @@ func (t *retryT) putPend(pr *retryPend) {
 }
 
 // timeout fires when a request's RTO expires with no response:
-// retransmit a fresh copy of the master frame (donated to the wire via
+// retransmit a pooled copy of the master frame (donated to the wire via
 // Inject) and back off, or give up once the budget is spent.
 //
 //lhlint:hotpath
@@ -173,9 +177,7 @@ func (pr *retryPend) timeout() {
 	}
 	pr.tries++
 	t.st.Retransmits++
-	dup := t.bufs.get(len(pr.master))
-	copy(dup, pr.master)
-	t.link.Inject(t.side, dup)
+	t.link.Inject(t.side, t.p.Pool.Copy(pr.master))
 	pr.rto *= retryBackoff
 	pr.ev = t.p.Sim.After(pr.rto, "transport-retry-rto", pr.fire)
 }
@@ -185,21 +187,21 @@ func (pr *retryPend) timeout() {
 //
 //lhlint:hotpath
 func (t *retryT) DeliverFrame(frame []byte) {
-	if wire.ParseUDPInto(frame, &t.dg) != nil || rpc.DecodeInto(t.dg.Payload, &t.msg) != nil {
-		t.inner(frame)
+	if wire.ParseUDPInto(frame, &t.dg) != nil {
+		t.up.unparsed(frame)
 		return
 	}
-	switch t.msg.Kind {
-	case rpc.KindResponse:
-		t.completeRequest()
-		t.inner(frame)
-	case rpc.KindRequest:
-		if t.filterDup(frame) {
-			t.inner(frame)
+	if rpc.DecodeInto(t.dg.Payload, &t.msg) == nil {
+		switch t.msg.Kind {
+		case rpc.KindResponse:
+			t.completeRequest()
+		case rpc.KindRequest:
+			if !t.filterDup(frame) {
+				return
+			}
 		}
-	default:
-		t.inner(frame)
 	}
+	t.up.parsed(frame, &t.dg)
 }
 
 //lhlint:hotpath
@@ -227,10 +229,7 @@ func (t *retryT) filterDup(frame []byte) bool {
 		return false
 	case dupDone:
 		t.st.Replays++
-		resp := t.cache[k]
-		out := t.bufs.get(len(resp))
-		copy(out, resp)
-		t.link.Inject(t.side, out)
+		t.link.Inject(t.side, t.p.Pool.Copy(t.cache[k]))
 		t.p.Pool.Put(frame)
 		return false
 	}
@@ -246,7 +245,7 @@ func (t *retryT) filterDup(frame []byte) bool {
 //
 //lhlint:hotpath
 func (t *retryT) cacheResponse(frame []byte) {
-	k := reqKey{ip: t.dg.IP.Dst.Uint32(), port: t.dg.UDP.DstPort, id: t.msg.ID}
+	k := reqKey{ip: t.txDg.IP.Dst.Uint32(), port: t.txDg.UDP.DstPort, id: t.msg.ID}
 	if t.seen[k] != dupInService {
 		return
 	}

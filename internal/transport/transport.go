@@ -14,6 +14,15 @@
 //     duplicates, absorbs control frames, and counts congestion signals,
 //     then hands the frame to the wrapped port.
 //
+// The receive half runs a full wire.ParseUDPInto on every frame, both
+// checksums included. When that parse succeeds and the wrapped port can
+// take it (DeliverDatagram, implemented by Lauberhorn's core.NIC and by
+// workload.Generator), the Datagram goes up with the frame and the port
+// skips its own parse, so a host verifies each frame it receives once.
+// A frame that fails the parse goes up through DeliverFrame, and the
+// port's own parse rejects and counts it as before. The transmit tap
+// parses on its own, into a separate slot.
+//
 // Schemes register in a driver registry mirroring internal/stackdrv:
 // cluster.Spec.Transport selects a Kind, lhbench/lhsim expose -transport,
 // and the zero value (Raw) is "no transport at all" — a Raw universe
@@ -112,6 +121,45 @@ type Instance interface {
 	BindLink(l *fabric.Link, side int)
 	// Stats reports the instance's counters.
 	Stats() Stats
+}
+
+// datagramPort is a receive port that can take a frame together with
+// the Datagram a successful wire.ParseUDPInto of it yielded; the port
+// handles it exactly as DeliverFrame handles a frame whose own parse
+// gives that Datagram. d belongs to the caller and is valid only for the
+// call.
+type datagramPort interface {
+	DeliverDatagram(frame []byte, d *wire.Datagram)
+}
+
+// upPort is a receive half's hand-off to the port it wraps, with both
+// delivery methods bound once at WrapPort. A frame whose parse failed
+// goes up through unparsed (the port's DeliverFrame); one that parsed
+// goes up through parsed.
+type upPort struct {
+	unparsed func([]byte)
+	// datagram is nil when the port only takes frames.
+	datagram func([]byte, *wire.Datagram)
+}
+
+func newUpPort(inner fabric.FramePort) upPort {
+	u := upPort{unparsed: inner.DeliverFrame}
+	if dp, ok := inner.(datagramPort); ok {
+		u.datagram = dp.DeliverDatagram
+	}
+	return u
+}
+
+// parsed hands up a frame that parsed into d, with d when the port
+// takes it.
+//
+//lhlint:hotpath
+func (u *upPort) parsed(frame []byte, d *wire.Datagram) {
+	if u.datagram != nil {
+		u.datagram(frame, d)
+		return
+	}
+	u.unparsed(frame)
 }
 
 // Stats are the transport counters an instance accumulates; experiments
@@ -249,17 +297,18 @@ type reqKey struct {
 	id   uint64
 }
 
-// bufList is a byte-slice free list for the frame copies transports
-// keep (retransmit masters, cached responses) — the same shape as
-// wire.FramePool but private, so transport copies never mingle with
-// the wire-ownership pool.
+// bufList is a byte-slice free list for the frame copies the retry
+// transport keeps and never sends (retransmit masters, cached
+// responses) — the same shape as wire.FramePool but private, since these
+// buffers never leave the transport: each comes back with put when its
+// request completes, gives up, or leaves the done set. The copies it
+// does send come from wire.FramePool.Copy, because the wire owns them.
 type bufList struct {
 	free [][]byte
 }
 
-// get pops a buffer of length n. A miss allocates exactly n bytes:
-// retransmit and replay copies are donated to the wire and never come
-// back, so spare capacity would only be zeroed and collected.
+// get pops a buffer of length n. A miss allocates exactly n bytes, as
+// wire.FramePool's does.
 //
 //lhlint:hotpath
 func (b *bufList) get(n int) []byte {

@@ -1,12 +1,23 @@
 package transport
 
 import (
+	"reflect"
 	"testing"
 
+	"lauberhorn/internal/core"
 	"lauberhorn/internal/fabric"
 	"lauberhorn/internal/rpc"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/wire"
+	"lauberhorn/internal/workload"
+)
+
+// The receive ports that skip their own parse when a transport hands
+// one up.
+var (
+	_ datagramPort = (*core.NIC)(nil)
+	_ datagramPort = (*workload.Generator)(nil)
+	_ datagramPort = (*workload.ClosedLoop)(nil)
 )
 
 var (
@@ -371,6 +382,95 @@ func TestSchemesDeterministic(t *testing.T) {
 		if c1 != c2 || s1 != s2 || n1 != n2 || t1 != t2 {
 			t.Fatalf("%s: two identical runs diverged: %+v/%+v %d@%v vs %+v/%+v %d@%v",
 				k.Name(), c1, s1, n1, t1, c2, s2, n2, t2)
+		}
+	}
+}
+
+// dgPort records how frames arrive: through DeliverFrame (the port
+// parses for itself) or through DeliverDatagram, checking there that the
+// Datagram handed up is exactly what a fresh parse of the frame yields.
+type dgPort struct {
+	t           *testing.T
+	viaFrame    int
+	viaDatagram int
+}
+
+func (p *dgPort) DeliverFrame(f []byte) { p.viaFrame++ }
+
+func (p *dgPort) DeliverDatagram(f []byte, d *wire.Datagram) {
+	p.viaDatagram++
+	var want wire.Datagram
+	if err := wire.ParseUDPInto(f, &want); err != nil {
+		p.t.Errorf("DeliverDatagram got a frame that fails the parse: %v", err)
+		return
+	}
+	if !reflect.DeepEqual(*d, want) {
+		p.t.Errorf("DeliverDatagram got %+v, the frame parses to %+v", *d, want)
+	}
+}
+
+// TestReceiveHandsParseUp: every scheme's receive half hands a frame
+// that passed its full parse up with the Datagram, and a frame that
+// failed it up as a bare frame, so the port's own parse still rejects
+// and counts it. No check is dropped: a corrupt frame never arrives as
+// a Datagram.
+func TestReceiveHandsParseUp(t *testing.T) {
+	build := func(t *testing.T, src, dst wire.Endpoint, msg []byte) []byte {
+		t.Helper()
+		f, err := wire.BuildUDP(src, dst, 1, msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	request := func(t *testing.T) []byte {
+		return build(t, clientEP, serverEP, rpc.EncodeRequest(7, 1, 1, 0, make([]byte, 64)))
+	}
+	frames := []struct {
+		name    string
+		frame   func(t *testing.T) []byte
+		asFrame bool // must arrive through DeliverFrame only
+	}{
+		{"valid-request", request, false},
+		{"valid-response", func(t *testing.T) []byte {
+			return build(t, serverEP, clientEP, rpc.EncodeResponse(7, 1, 1, rpc.StatusOK, make([]byte, 64)))
+		}, false},
+		{"flipped-payload-byte", func(t *testing.T) []byte {
+			f := request(t)
+			f[wire.HeadersLen+rpc.HeaderLen+5] ^= 0x01
+			return f
+		}, true},
+		{"bad-ip-header-checksum", func(t *testing.T) []byte {
+			f := request(t)
+			f[wire.EthernetHeaderLen+10] ^= 0x80
+			return f
+		}, true},
+	}
+	for _, k := range []Kind{Retry, ECN, Credit} {
+		for _, fc := range frames {
+			t.Run(k.Name()+"/"+fc.name, func(t *testing.T) {
+				s := sim.New(1)
+				e, _ := Lookup(k)
+				inst := e.New(Params{Sim: s, Self: serverEP})
+				p := &dgPort{t: t}
+				l := fabric.NewLink(s, fabric.Net100G)
+				l.Attach(&recPort{}, inst.WrapPort(p))
+				inst.BindLink(l, 1)
+				f := fc.frame(t)
+				if _, err := wire.ParseUDP(f); (err != nil) != fc.asFrame {
+					t.Fatalf("parse error %v; the case wants a corrupt frame: %v", err, fc.asFrame)
+				}
+				l.Send(0, f)
+				s.Run()
+				want := [2]int{0, 1}
+				if fc.asFrame {
+					want = [2]int{1, 0}
+				}
+				if got := [2]int{p.viaFrame, p.viaDatagram}; got != want {
+					t.Fatalf("arrived %d times through DeliverFrame and %d through DeliverDatagram, want %v",
+						got[0], got[1], want)
+				}
+			})
 		}
 	}
 }

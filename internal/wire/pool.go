@@ -1,8 +1,8 @@
 package wire
 
-// FramePool is a free list for the frame buffers BuildUDP allocates:
-// every request a generator fires and every response a stack encodes is
-// one fresh []byte without it.
+// FramePool is a free list for frame buffers: every request a generator
+// fires and every response a stack encodes is one fresh []byte without
+// it, and so is every copy a transport puts on the wire.
 //
 // Ownership-transfer contract. A frame built from a pool is owned by the
 // builder's caller and transfers ownership whole-hog down the tx path:
@@ -11,7 +11,9 @@ package wire
 // flooding switch sends each egress port its own copy. The terminal
 // consumer — and only it — may return the frame with Put, and only once
 // every alias it took (parsed Datagram payloads, decoded message bodies)
-// is dead or provably write-before-read scratch. A consumer that never
+// is dead or provably write-before-read scratch. The consumer is the
+// receiver that handles the frame, or the link side that drops it (tail
+// drop, no carrier, or a purge at a carrier cut). A consumer that never
 // Puts simply leaves the frame to the garbage collector.
 //
 // A pool belongs to one shard: it is single-threaded by the same
@@ -25,8 +27,8 @@ package wire
 type FramePool struct {
 	free [][]byte
 
-	// Gets counts pooled BuildUDP calls, Hits the subset served from the
-	// free list, Puts the frames returned.
+	// Gets counts pooled BuildUDP and Copy calls, Hits the subset served
+	// from the free list, Puts the frames returned.
 	Gets, Hits, Puts uint64
 }
 
@@ -52,17 +54,36 @@ func (p *FramePool) BuildUDP(src, dst Endpoint, ipID uint16, payload []byte) ([]
 	if len(payload) > MaxUDPPayload {
 		return nil, errTooBig(len(payload))
 	}
-	f := p.get(paddedLen(len(payload)))
+	f := p.get(paddedLen(len(payload)), true)
 	fillUDP(f, src, dst, ipID, payload)
 	return f, nil
 }
 
-// get pops a cleared buffer of length n. A miss allocates exactly n
-// bytes: frames that leave for consumers which never Put (the DMA-NIC
-// stacks drop requests) would only have their extra capacity zeroed and
-// collected. A popped buffer too small for n (a smaller frame that came
-// back) is dropped rather than retried.
-func (p *FramePool) get(n int) []byte {
+// Copy returns a copy of frame in a buffer drawn from the pool, owned by
+// the caller under the contract above: the way to put a second copy of a
+// frame on the wire (a retransmit, a replayed response). The buffer is
+// not cleared first, since the copy overwrites every byte of it.
+//
+//lhlint:hotpath
+func (p *FramePool) Copy(frame []byte) []byte {
+	var f []byte
+	if p == nil {
+		f = make([]byte, len(frame))
+	} else {
+		f = p.get(len(frame), false)
+	}
+	copy(f, frame)
+	return f
+}
+
+// get pops a buffer of length n, cleared when zero is set. A miss
+// allocates exactly n bytes: frames that leave for consumers which never
+// Put (the DMA-NIC stacks drop requests) would only have their extra
+// capacity zeroed and collected. A popped buffer too small for n (a
+// smaller frame that came back) is dropped rather than retried.
+//
+//lhlint:hotpath
+func (p *FramePool) get(n int, zero bool) []byte {
 	p.Gets++
 	if last := len(p.free) - 1; last >= 0 {
 		f := p.free[last]
@@ -71,7 +92,9 @@ func (p *FramePool) get(n int) []byte {
 		if cap(f) >= n {
 			p.Hits++
 			f = f[:n]
-			clear(f)
+			if zero {
+				clear(f)
+			}
 			return f
 		}
 	}

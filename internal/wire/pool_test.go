@@ -99,6 +99,46 @@ func TestFramePoolWarmBuildZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFramePoolCopy: Copy returns a buffer equal to its source and
+// separate from it, counted as a Get, and as a Hit when the free list
+// serves it. A recycled buffer is not cleared first (the copy overwrites
+// it), and once warm a Copy and Put allocate nothing. A nil pool
+// allocates.
+func TestFramePoolCopy(t *testing.T) {
+	src, err := BuildUDP(poolEPs.src, poolEPs.dst, 9, bytes.Repeat([]byte{0x3c}, 500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := new(FramePool)
+	miss := p.Copy(src)
+	if !bytes.Equal(miss, src) || &miss[0] == &src[0] {
+		t.Fatal("miss: the copy is not a separate equal buffer")
+	}
+	if p.Gets != 1 || p.Hits != 0 {
+		t.Fatalf("miss: gets=%d hits=%d, want 1/0", p.Gets, p.Hits)
+	}
+	dirty := bytes.Repeat([]byte{0xff}, HeadersLen+MaxUDPPayload)
+	p.Put(dirty)
+	hit := p.Copy(src)
+	if !bytes.Equal(hit, src) {
+		t.Fatal("hit: the copy differs from its source")
+	}
+	if &hit[0] != &dirty[0] {
+		t.Fatal("hit: pool did not recycle the Put buffer")
+	}
+	if p.Gets != 2 || p.Hits != 1 {
+		t.Fatalf("hit: gets=%d hits=%d, want 2/1", p.Gets, p.Hits)
+	}
+	allocs := testing.AllocsPerRun(1000, func() { p.Put(p.Copy(src)) })
+	if allocs != 0 {
+		t.Errorf("warm Copy allocates %v per op, want 0", allocs)
+	}
+	var none *FramePool
+	if c := none.Copy(src); !bytes.Equal(c, src) || &c[0] == &src[0] {
+		t.Fatal("nil pool: the copy is not a separate equal buffer")
+	}
+}
+
 // TestFramePoolNil: a nil pool is plain allocation and a no-op sink.
 func TestFramePoolNil(t *testing.T) {
 	var p *FramePool
@@ -109,5 +149,24 @@ func TestFramePoolNil(t *testing.T) {
 	p.Put(f)
 	if p.Free() != 0 {
 		t.Fatal("nil pool retained a frame")
+	}
+}
+
+var poolSink []byte
+
+// BenchmarkPoolBuildUDP builds a frame carrying a 4096-byte payload from
+// a warm pool and puts it back: the clear, the header writes, the
+// payload copy and both checksums, with no allocation.
+func BenchmarkPoolBuildUDP(b *testing.B) {
+	p := new(FramePool)
+	payload := bytes.Repeat([]byte{0x5a}, 4096)
+	b.SetBytes(int64(paddedLen(len(payload))))
+	for b.Loop() {
+		f, err := p.BuildUDP(poolEPs.src, poolEPs.dst, 1, payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		poolSink = f
+		p.Put(f)
 	}
 }

@@ -115,45 +115,59 @@ type UDPHeader struct {
 //
 //lhlint:hotpath
 func Checksum(b []byte) uint16 {
-	return ^fold(sum(0, b))
+	return ^bits.ReverseBytes16(fold(sum(0, b)))
 }
 
-// sum adds b, read as RFC 1071's sequence of big-endian 16-bit words
-// (an odd last byte padded with zero), into the ones'-complement
-// accumulator acc. It takes 64-bit big-endian words in a carry chain
-// whose carry out of bit 63 is added back in (RFC 1071 §2). That is
-// exact because 2^16 ≡ 1 (mod 0xffff): a 64-bit word is congruent to the
-// sum of its four 16-bit words, and a carry out of bit 63 is worth 1.
-// b must start at an even offset of the checksummed data, so a caller
-// may sum it piecewise as long as only the last piece has odd length.
+// sum adds b into the ones'-complement accumulator acc, reading it as
+// little-endian 64-bit words: the machine's native order on the amd64
+// and arm64 hosts the simulator runs on, so each load is one plain move.
+// RFC 1071 defines the checksum over big-endian 16-bit words (an odd
+// last byte padded with zero); read little-endian, each 16-bit lane of a
+// word holds one of those words byte-swapped. The sum is independent of
+// byte order (RFC 1071 §2(B)): summing swapped words gives the swapped
+// sum, so callers swap the folded result once. acc must hold swapped
+// words too.
+//
+// The words go into one carry chain whose carry out of bit 63 is added
+// back in (RFC 1071 §2). That is exact because 2^16 ≡ 1 (mod 0xffff): a
+// 64-bit word is congruent to the sum of its four 16-bit lanes, and a
+// carry out of bit 63 is worth 1. b must start at an even offset of the
+// checksummed data, so a caller may sum it piecewise as long as only the
+// last piece has odd length.
 //
 // The result is 0 only when acc was 0 and every word of b is 0, so fold
-// gives bit for bit what a 16-bit word loop gives, ±0 included.
+// and one swap give bit for bit what a 16-bit word loop gives, ±0
+// included: the swap maps 0 and 0xffff to themselves.
 //
 //lhlint:hotpath
 func sum(acc uint64, b []byte) uint64 {
 	var c uint64
-	for len(b) >= 32 {
-		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
-		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[8:]), c)
-		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[16:]), c)
-		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b[24:]), c)
-		b = b[32:]
+	for len(b) >= 64 {
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b[8:]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b[16:]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b[24:]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b[32:]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b[40:]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b[48:]), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b[56:]), c)
+		b = b[64:]
 	}
 	for len(b) >= 8 {
-		acc, c = bits.Add64(acc, binary.BigEndian.Uint64(b), c)
+		acc, c = bits.Add64(acc, binary.LittleEndian.Uint64(b), c)
 		b = b[8:]
 	}
 	if len(b) >= 4 {
-		acc, c = bits.Add64(acc, uint64(binary.BigEndian.Uint32(b)), c)
+		acc, c = bits.Add64(acc, uint64(binary.LittleEndian.Uint32(b)), c)
 		b = b[4:]
 	}
 	if len(b) >= 2 {
-		acc, c = bits.Add64(acc, uint64(binary.BigEndian.Uint16(b)), c)
+		acc, c = bits.Add64(acc, uint64(binary.LittleEndian.Uint16(b)), c)
 		b = b[2:]
 	}
 	if len(b) == 1 {
-		acc, c = bits.Add64(acc, uint64(b[0])<<8, c)
+		// The zero pad byte is the lane's high byte.
+		acc, c = bits.Add64(acc, uint64(b[0]), c)
 	}
 	// Adding the last carry back cannot overflow: an add leaves acc all
 	// ones with a carry out only if acc was all ones with a carry in, and
@@ -173,22 +187,24 @@ func fold(acc uint64) uint16 {
 }
 
 // udpSum computes the RFC 1071 checksum of the IPv4 pseudo-header followed
-// by the UDP segment, folding the pseudo-header in arithmetically instead
-// of materializing it. With skipCksum, the segment's checksum word (bytes
-// 6-7, which udp must hold) counts as zero, as verification needs; the
-// segment is then summed as udp[:6] and udp[8:], both at even offsets.
-// The pseudo-header is an even 12 bytes, so udp's words keep their
-// 2-byte alignment and the result matches Checksum over the concatenated
+// by the UDP segment, folding the pseudo-header into the same sum instead
+// of materializing it: its words enter acc byte-swapped, as sum reads
+// udp's. With skipCksum, the segment's checksum word (bytes 6-7, which
+// udp must hold) counts as zero, as verification needs; the segment is
+// then summed as udp[:6] and udp[8:], both at even offsets. The
+// pseudo-header is an even 12 bytes, so udp's words keep their 2-byte
+// alignment and the result matches Checksum over the concatenated
 // buffers exactly.
 //
 //lhlint:hotpath
 func udpSum(src, dst IP, udp []byte, skipCksum bool) uint16 {
-	acc := uint64(src.Uint32()) + uint64(dst.Uint32()) + ProtoUDP + uint64(uint16(len(udp)))
+	acc := uint64(binary.LittleEndian.Uint32(src[:])) + uint64(binary.LittleEndian.Uint32(dst[:])) +
+		ProtoUDP<<8 + uint64(bits.ReverseBytes16(uint16(len(udp))))
 	if skipCksum {
 		acc = sum(acc, udp[:6])
 		udp = udp[UDPHeaderLen:]
 	}
-	return ^fold(sum(acc, udp))
+	return ^bits.ReverseBytes16(fold(sum(acc, udp)))
 }
 
 // udpChecksum computes the UDP checksum including the IPv4 pseudo-header.

@@ -160,18 +160,27 @@ func NewGenerator(s *sim.Sim, cfg Config, link *fabric.Link, side int) *Generato
 //
 //lhlint:hotpath
 func (g *Generator) DeliverFrame(frame []byte) {
-	g.consume(frame)
+	if err := wire.ParseUDPInto(frame, &g.rxScr); err != nil {
+		g.cfg.Frames.Put(frame)
+		return
+	}
+	g.DeliverDatagram(frame, &g.rxScr)
+}
+
+// DeliverDatagram is DeliverFrame for a frame already parsed into d —
+// by a transport's receive half, which ran the same full parse — so the
+// frame's checksums are verified once on this host.
+//
+//lhlint:hotpath
+func (g *Generator) DeliverDatagram(frame []byte, d *wire.Datagram) {
+	g.consume(d)
 	g.cfg.Frames.Put(frame)
 }
 
-// consume processes one delivered frame.
+// consume processes one parsed frame.
 //
 //lhlint:hotpath
-func (g *Generator) consume(frame []byte) {
-	d := &g.rxScr
-	if err := wire.ParseUDPInto(frame, d); err != nil {
-		return
-	}
+func (g *Generator) consume(d *wire.Datagram) {
 	if d.IP.Dst != g.cfg.Client.IP {
 		// Switched fabrics flood frames for unlearned MACs; a frame for
 		// another machine must not be matched against our in-flight IDs
@@ -332,6 +341,21 @@ func (c *ClosedLoop) sendNext() {
 func (c *ClosedLoop) DeliverFrame(frame []byte) {
 	before := c.Received + c.Errors
 	c.Generator.DeliverFrame(frame)
+	c.next(before)
+}
+
+// DeliverDatagram is DeliverFrame for a frame already parsed into d. It
+// shadows the embedded Generator's, which would not send the next
+// request.
+func (c *ClosedLoop) DeliverDatagram(frame []byte, d *wire.Datagram) {
+	before := c.Received + c.Errors
+	c.Generator.DeliverDatagram(frame, d)
+	c.next(before)
+}
+
+// next starts the virtual client's next request once a delivery
+// completed one of ours (Received+Errors moved past before).
+func (c *ClosedLoop) next(before uint64) {
 	if c.Received+c.Errors == before {
 		return // not one of ours
 	}

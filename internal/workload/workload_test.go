@@ -339,6 +339,44 @@ func TestClosedLoop(t *testing.T) {
 	}
 }
 
+// TestClosedLoopDeliverDatagram: a response handed up already parsed,
+// as a transport's receive half does, is recorded exactly as one the
+// generator parses itself, and the closed loop sends its next request
+// either way (its DeliverDatagram must shadow the embedded Generator's).
+func TestClosedLoopDeliverDatagram(t *testing.T) {
+	serverEP := wire.Endpoint{MAC: wire.MAC{2, 0, 0, 0, 0, 2}, IP: wire.IP{10, 0, 0, 2}, Port: 9000}
+	clientEP := wire.Endpoint{MAC: wire.MAC{2, 0, 0, 0, 0, 1}, IP: wire.IP{10, 0, 0, 1}, Port: 10001}
+	for _, viaDatagram := range []bool{false, true} {
+		s := sim.New(1)
+		link := fabric.NewLink(s, fabric.Net100G)
+		cl := NewClosedLoop(s, Config{
+			Client:  clientEP,
+			Server:  serverEP,
+			Targets: []Target{{Port: 9000, Service: 1, Method: 1, Size: FixedSize{N: 32}}},
+		}, link, 0, 1, 0)
+		link.Attach(cl, devNull{})
+		cl.Start()
+		s.RunUntil(sim.Microsecond)
+		f, err := wire.BuildUDP(serverEP, clientEP, 1, rpc.EncodeResponse(1, 1, 1, rpc.StatusOK, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if viaDatagram {
+			var d wire.Datagram
+			if err := wire.ParseUDPInto(f, &d); err != nil {
+				t.Fatal(err)
+			}
+			cl.DeliverDatagram(f, &d)
+		} else {
+			cl.DeliverFrame(f)
+		}
+		if cl.Received != 1 || cl.Latency.Count() != 1 || cl.Sent != 2 {
+			t.Fatalf("viaDatagram=%v: received %d, recorded %d, sent %d; want 1, 1, 2",
+				viaDatagram, cl.Received, cl.Latency.Count(), cl.Sent)
+		}
+	}
+}
+
 func TestGeneratorPanics(t *testing.T) {
 	s := sim.New(1)
 	link := fabric.NewLink(s, fabric.Net100G)
