@@ -759,9 +759,9 @@ func BuildE(sp Spec) (*Universe, error) {
 	// claim the low port indices (and, in multi-tier fabrics, the low
 	// leaf slots).
 	if u.exec != nil {
-		u.Topo = fabric.NewTopologySharded(s, u.topoSpec(net), u.leafSim, u.exec)
+		u.Topo = fabric.NewTopologySharded(s, sp.topoSpec(net), u.leafSim, u.exec)
 	} else if sp.Fabric.multiTier() {
-		u.Topo = fabric.NewTopology(s, u.topoSpec(net))
+		u.Topo = fabric.NewTopology(s, sp.topoSpec(net))
 	} else if !sp.Direct {
 		u.Switch = fabric.NewSwitch(s)
 	}
@@ -796,10 +796,8 @@ func BuildE(sp Spec) (*Universe, error) {
 	return u, nil
 }
 
-// topoSpec lowers the FabricSpec to the fabric package's TopoSpec, whose
-// links recycle the frames they drop into the universe's per-Sim pools.
-func (u *Universe) topoSpec(net fabric.NetParams) fabric.TopoSpec {
-	sp := &u.Spec
+// topoSpec lowers the FabricSpec to the fabric package's TopoSpec.
+func (sp *Spec) topoSpec(net fabric.NetParams) fabric.TopoSpec {
 	up := sp.Fabric.Uplink
 	if up.Bandwidth == 0 {
 		up = net
@@ -810,7 +808,7 @@ func (u *Universe) topoSpec(net fabric.NetParams) fabric.TopoSpec {
 		// index DeriveSeed will ever see.
 		seed = DeriveSeed(sp.Seed, 1<<16)
 	}
-	ts := fabric.TopoSpec{LeafPorts: sp.Fabric.LeafPorts, Uplink: up, ECMPSeed: seed, Pools: u.FramePool}
+	ts := fabric.TopoSpec{LeafPorts: sp.Fabric.LeafPorts, Uplink: up, ECMPSeed: seed}
 	if sp.Fabric.RingSwitches > 0 {
 		ts.Kind = fabric.TopoRing
 		ts.Switches = sp.Fabric.RingSwitches

@@ -55,11 +55,6 @@ type TopoSpec struct {
 	// event interleaving — the fabric half of the repo-wide determinism
 	// contract.
 	ECMPSeed uint64
-	// Pools, when non-nil, returns the frame pool of a Sim the fabric
-	// lives on. Each inter-switch link side is armed with its own Sim's
-	// pool as the link is built (Link.SetPool); nil leaves the frames the
-	// links drop to the garbage collector.
-	Pools func(*sim.Sim) *wire.FramePool
 }
 
 // ThreeTier reports whether the spec describes a core/spine/leaf Clos.
@@ -149,22 +144,14 @@ type Topology struct {
 // frame counter inside a delivery key: KeyedBase | dir<<dirShift | seq.
 const dirShift = 40
 
-// interLink creates one keyed inter-switch link with side 0 on s0 and
-// side 1 on s1, split across shards when they differ, each side armed
-// with its Sim's pool. The two direction IDs come off the topology-wide
-// counter, so a serial and a sharded build of the same spec assign
-// identical keys to identical links.
-func (t *Topology) interLink(s0, s1 *sim.Sim) *Link {
+// interLink creates one keyed inter-switch link with side 0 on s0. The
+// two direction IDs come off the topology-wide counter, so a serial and
+// a sharded build of the same spec assign identical keys to identical
+// links.
+func (t *Topology) interLink(s0 *sim.Sim) *Link {
 	l := NewLink(s0, t.Spec.Uplink)
 	l.SetDeliveryKeys(sim.KeyedBase|t.nextDir<<dirShift, sim.KeyedBase|(t.nextDir+1)<<dirShift)
 	t.nextDir += 2
-	if s1 != s0 {
-		l.Split(s1, t.exec)
-	}
-	if t.Spec.Pools != nil {
-		l.SetPool(0, t.Spec.Pools(s0))
-		l.SetPool(1, t.Spec.Pools(s1))
-	}
 	return l
 }
 
@@ -232,7 +219,7 @@ func newTopology(s *sim.Sim, spec TopoSpec, leafSim func(int) *sim.Sim, x *shard
 		// Segment i joins switch i to i+1: port 0 on each switch is
 		// "next", port 1 is "prev" (both trunks).
 		for i := 0; i < k; i++ {
-			t.ringLinks = append(t.ringLinks, t.interLink(s, s))
+			t.ringLinks = append(t.ringLinks, t.interLink(s))
 		}
 		for i := 0; i < k; i++ {
 			next := t.Leaves[i].AttachPort(t.ringLinks[i], 0)
@@ -268,7 +255,7 @@ func (t *Topology) ensurePod(p int) {
 			for c := 0; c < t.Spec.Cores; c++ {
 				// Spine and core both live on the hub Sim, so these keyed
 				// links are never split.
-				link := t.interLink(t.s, t.s)
+				link := t.interLink(t.s)
 				links[c] = link
 				u := spine.AttachPort(link, 0)
 				d := t.Cores[c].AttachPort(link, 1)
@@ -309,7 +296,10 @@ func (t *Topology) newLeaf() *Switch {
 	sports := make([]int, t.Spec.Spines)
 	var group []int
 	for sp := 0; sp < t.Spec.Spines; sp++ {
-		link := t.interLink(ls, t.s)
+		link := t.interLink(ls)
+		if ls != t.s {
+			link.Split(t.s, t.exec)
+		}
 		links[sp] = link
 		spine := t.Spines[podBase+sp]
 		up := leaf.AttachPort(link, 0)

@@ -6,7 +6,6 @@ import (
 
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/sim/shard"
-	"lauberhorn/internal/wire"
 )
 
 // clos3Rig builds a 3-tier Clos: PodLeaves leaves per pod, 2 machines per
@@ -241,53 +240,3 @@ func TestTopologyShardedMatchesSerial(t *testing.T) {
 type framePortFunc func([]byte)
 
 func (f framePortFunc) DeliverFrame(frame []byte) { f(frame) }
-
-// TestTopologyArmsLinkPools: with TopoSpec.Pools set, every inter-switch
-// link side recycles the frames it drops into the pool of the Sim it
-// lives on — the leaf shard's for the leaf side of a split uplink, the
-// hub's everywhere else.
-func TestTopologyArmsLinkPools(t *testing.T) {
-	hub := sim.New(1)
-	leafSims := []*sim.Sim{sim.New(1), sim.New(1)}
-	pools := map[*sim.Sim]*wire.FramePool{hub: {}, leafSims[0]: {}, leafSims[1]: {}}
-	poolOf := func(s *sim.Sim) *wire.FramePool { return pools[s] }
-	check := func(what string, l *Link) {
-		t.Helper()
-		for side := 0; side < 2; side++ {
-			if p := l.pool[side]; p == nil || p != pools[l.Sim(side)] {
-				t.Fatalf("%s side %d: pool %p, want its Sim's %p", what, side, p, pools[l.Sim(side)])
-			}
-		}
-	}
-
-	x := shard.NewExecutor([]*sim.Sim{leafSims[0], leafSims[1], hub})
-	clos := NewTopologySharded(hub, TopoSpec{
-		Kind: TopoSpineLeaf, Spines: 2, LeafPorts: 2, Cores: 2, PodLeaves: 1,
-		Uplink: Net100G, ECMPSeed: 3, Pools: poolOf,
-	}, func(l int) *sim.Sim { return leafSims[l] }, x)
-	for i := 0; i < 4; i++ {
-		clos.Attach(macN(byte(i+1)), NewLink(leafSims[i/2], Net100G), discard{})
-	}
-	split := 0
-	for _, ls := range clos.uplinks {
-		for _, l := range ls {
-			check("uplink", l)
-			if l.IsSplit() {
-				split++
-			}
-		}
-	}
-	if split == 0 {
-		t.Fatal("no uplink was split; the sharded case is vacuous")
-	}
-	for _, ls := range clos.coreLinks {
-		for _, l := range ls {
-			check("core link", l)
-		}
-	}
-
-	ring := NewTopology(hub, TopoSpec{Kind: TopoRing, Switches: 3, LeafPorts: 1, Uplink: Net100G, Pools: poolOf})
-	for _, l := range ring.ringLinks {
-		check("ring link", l)
-	}
-}

@@ -55,7 +55,11 @@ type retryT struct {
 	// machine — each generator mints its own sequence).
 	pend     map[uint64]*retryPend
 	pendFree []*retryPend
-	bufs     bufList
+	// kept is a private free list for the copies the transport keeps
+	// rather than sends: retransmit masters and cached responses. They
+	// stay out of the Sim's pool, where a cached response would hold a
+	// popped buffer of any size for up to retryDoneCap responses.
+	kept wire.FramePool
 
 	// responder state: request lifecycle and cached responses, with a
 	// FIFO ring bounding the done set.
@@ -66,7 +70,9 @@ type retryT struct {
 }
 
 // retryPend is one tracked outbound request: a master copy of the frame
-// for retransmission plus its timer, pooled with a prebound callback.
+// for retransmission (from retryT.kept, put back when the request
+// completes or gives up) plus its timer, pooled with a prebound
+// callback.
 type retryPend struct {
 	t      *retryT
 	id     uint64
@@ -127,8 +133,7 @@ func (t *retryT) trackRequest(frame []byte) {
 	}
 	pr := t.getPend()
 	pr.id = id
-	pr.master = t.bufs.get(len(frame))
-	copy(pr.master, frame)
+	pr.master = t.kept.Copy(frame)
 	pr.tries = 0
 	pr.rto = retryRTO
 	pr.ev = t.p.Sim.After(pr.rto, "transport-retry-rto", pr.fire)
@@ -155,7 +160,7 @@ func (t *retryT) newPend() *retryPend {
 //lhlint:hotpath
 func (t *retryT) putPend(pr *retryPend) {
 	if pr.master != nil {
-		t.bufs.put(pr.master)
+		t.kept.Put(pr.master)
 		pr.master = nil
 	}
 	pr.ev = nil
@@ -250,9 +255,7 @@ func (t *retryT) cacheResponse(frame []byte) {
 		return
 	}
 	t.seen[k] = dupDone
-	c := t.bufs.get(len(frame))
-	copy(c, frame)
-	t.cache[k] = c
+	t.cache[k] = t.kept.Copy(frame)
 	t.doneRing = append(t.doneRing, k)
 	if len(t.doneRing)-t.doneHead > retryDoneCap {
 		t.evictDone()
@@ -266,7 +269,7 @@ func (t *retryT) evictDone() {
 	t.doneRing[t.doneHead] = reqKey{}
 	t.doneHead++
 	if buf, ok := t.cache[k]; ok {
-		t.bufs.put(buf)
+		t.kept.Put(buf)
 		delete(t.cache, k)
 	}
 	delete(t.seen, k)

@@ -296,39 +296,3 @@ type reqKey struct {
 	port uint16
 	id   uint64
 }
-
-// bufList is a byte-slice free list for the frame copies the retry
-// transport keeps and never sends (retransmit masters, cached
-// responses) — the same shape as wire.FramePool but private, since these
-// buffers never leave the transport: each comes back with put when its
-// request completes, gives up, or leaves the done set. The copies it
-// does send come from wire.FramePool.Copy, because the wire owns them.
-type bufList struct {
-	free [][]byte
-}
-
-// get pops a buffer of length n. A miss allocates exactly n bytes, as
-// wire.FramePool's does.
-//
-//lhlint:hotpath
-func (b *bufList) get(n int) []byte {
-	if last := len(b.free) - 1; last >= 0 {
-		f := b.free[last]
-		b.free[last] = nil
-		b.free = b.free[:last]
-		if cap(f) >= n {
-			return f[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-// put returns a dead buffer to the free list.
-//
-//lhlint:hotpath
-func (b *bufList) put(f []byte) {
-	if cap(f) == 0 {
-		return
-	}
-	b.free = append(b.free, f)
-}

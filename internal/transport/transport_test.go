@@ -66,10 +66,11 @@ func (r *responder) DeliverFrame(f []byte) {
 
 // rig wires a client transport and a server transport across one link:
 // side 0 is the requester (inner port = recorder receiving responses),
-// side 1 is the responder.
+// side 1 is the responder. Both transports share the Sim's frame pool.
 type rig struct {
 	s      *sim.Sim
 	l      *fabric.Link
+	pool   *wire.FramePool
 	client Instance
 	server Instance
 	got    *recPort
@@ -80,7 +81,7 @@ func newRig(t *testing.T, params fabric.NetParams, clientKind, serverKind Kind) 
 	t.Helper()
 	s := sim.New(1)
 	l := fabric.NewLink(s, params)
-	r := &rig{s: s, l: l, got: &recPort{}, resp: &responder{l: l}}
+	r := &rig{s: s, l: l, pool: &wire.FramePool{}, got: &recPort{}, resp: &responder{l: l}}
 	ce, ok := Lookup(clientKind)
 	if !ok {
 		t.Fatalf("client kind %d not registered", clientKind)
@@ -89,8 +90,8 @@ func newRig(t *testing.T, params fabric.NetParams, clientKind, serverKind Kind) 
 	if !ok {
 		t.Fatalf("server kind %d not registered", serverKind)
 	}
-	r.client = ce.New(Params{Sim: s, Self: clientEP})
-	r.server = se.New(Params{Sim: s, Self: serverEP})
+	r.client = ce.New(Params{Sim: s, Self: clientEP, Pool: r.pool})
+	r.server = se.New(Params{Sim: s, Self: serverEP, Pool: r.pool})
 	l.Attach(r.client.WrapPort(r.got), r.server.WrapPort(r.resp))
 	r.client.BindLink(l, 0)
 	r.server.BindLink(l, 1)
@@ -184,6 +185,12 @@ func TestRetryReplaysCachedResponse(t *testing.T) {
 	}
 	if sst.DupsSuppressed != 0 {
 		t.Fatalf("DupsSuppressed = %d, want 0 (request had been answered)", sst.DupsSuppressed)
+	}
+	// The retransmit and the replay go on the wire, so each is a copy
+	// drawn from the Sim's pool; the master and the cached response the
+	// transports keep are not.
+	if r.pool.Gets != 2 {
+		t.Fatalf("pool Gets = %d, want 2 (one retransmit, one replay)", r.pool.Gets)
 	}
 }
 

@@ -61,8 +61,9 @@ func (p *FramePool) BuildUDP(src, dst Endpoint, ipID uint16, payload []byte) ([]
 
 // Copy returns a copy of frame in a buffer drawn from the pool, owned by
 // the caller under the contract above: the way to put a second copy of a
-// frame on the wire (a retransmit, a replayed response). The buffer is
-// not cleared first, since the copy overwrites every byte of it.
+// frame on the wire (a retransmit, a replayed response), or to keep one
+// in a pool of the caller's own. The buffer is not cleared first, since
+// the copy overwrites every byte of it.
 //
 //lhlint:hotpath
 func (p *FramePool) Copy(frame []byte) []byte {
