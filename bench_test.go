@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"lauberhorn/internal/check"
+	"lauberhorn/internal/cluster"
 	"lauberhorn/internal/experiments"
 	"lauberhorn/internal/rpc"
 	"lauberhorn/internal/sim"
@@ -23,14 +24,15 @@ func benchSingleRTT(b *testing.B, mk func() *experiments.Rig) {
 	var rtt sim.Time
 	for i := 0; i < b.N; i++ {
 		r := mk()
-		r.S.RunUntil(sim.Millisecond)
+		s := r.U.S
+		s.RunUntil(sim.Millisecond)
 		for w := 0; w < 3; w++ { // warm the fast path
 			r.Gen.SendTo(0)
-			r.S.RunUntil(r.S.Now() + 5*sim.Millisecond)
+			s.RunUntil(s.Now() + 5*sim.Millisecond)
 		}
 		r.Gen.Latency.Reset()
 		r.Gen.SendTo(0)
-		r.S.RunUntil(r.S.Now() + 20*sim.Millisecond)
+		s.RunUntil(s.Now() + 20*sim.Millisecond)
 		rtt = sim.Time(r.Gen.Latency.Max())
 	}
 	b.ReportMetric(rtt.Microseconds(), "rtt-us")
@@ -41,7 +43,7 @@ var fig2Size = workload.FixedSize{N: 40}
 // BenchmarkFig2_ECI is Figure 2's "ECI" bar: Lauberhorn warm fast path.
 func BenchmarkFig2_ECI(b *testing.B) {
 	benchSingleRTT(b, func() *experiments.Rig {
-		return experiments.LauberhornRig(1, 1, 1, 0, fig2Size, workload.RatePerSec(100), nil)
+		return experiments.StackRig(cluster.Lauberhorn, 1, 1, 1, 0, fig2Size, workload.RatePerSec(100), nil)
 	})
 }
 
@@ -49,7 +51,7 @@ func BenchmarkFig2_ECI(b *testing.B) {
 // commodity PCIe NIC.
 func BenchmarkFig2_X86DMA(b *testing.B) {
 	benchSingleRTT(b, func() *experiments.Rig {
-		return experiments.KstackRig(1, 1, 1, 0, fig2Size, workload.RatePerSec(100), nil)
+		return experiments.StackRig(cluster.Kernel, 1, 1, 1, 0, fig2Size, workload.RatePerSec(100), nil)
 	})
 }
 
@@ -57,7 +59,7 @@ func BenchmarkFig2_X86DMA(b *testing.B) {
 // the FPGA NIC over PCIe.
 func BenchmarkFig2_EnzianDMA(b *testing.B) {
 	benchSingleRTT(b, func() *experiments.Rig {
-		return experiments.KstackEnzianRig(1, 1, 1, 0, fig2Size, workload.RatePerSec(100), nil)
+		return experiments.StackRig(cluster.KernelEnzian, 1, 1, 1, 0, fig2Size, workload.RatePerSec(100), nil)
 	})
 }
 
@@ -76,7 +78,7 @@ func benchLoadPoint(b *testing.B, mk func(arr workload.ArrivalDist) *experiments
 	var p50, p99 float64
 	for i := 0; i < b.N; i++ {
 		r := mk(workload.RatePerSec(rate))
-		r.RunMeasured(20*sim.Millisecond, 50*sim.Millisecond)
+		r.U.RunMeasured(20*sim.Millisecond, 50*sim.Millisecond)
 		p50 = sim.Time(r.Gen.Latency.Percentile(0.5)).Microseconds()
 		p99 = sim.Time(r.Gen.Latency.Percentile(0.99)).Microseconds()
 	}
@@ -87,19 +89,19 @@ func benchLoadPoint(b *testing.B, mk func(arr workload.ArrivalDist) *experiments
 // BenchmarkE3_LoadLatency_* are the latency-vs-load series at 200 krps.
 func BenchmarkE3_LoadLatency_Lauberhorn(b *testing.B) {
 	benchLoadPoint(b, func(arr workload.ArrivalDist) *experiments.Rig {
-		return experiments.LauberhornRig(7, 4, 1, sim.Microsecond, fig2Size, arr, nil)
+		return experiments.StackRig(cluster.Lauberhorn, 7, 4, 1, sim.Microsecond, fig2Size, arr, nil)
 	}, 200_000)
 }
 
 func BenchmarkE3_LoadLatency_Bypass(b *testing.B) {
 	benchLoadPoint(b, func(arr workload.ArrivalDist) *experiments.Rig {
-		return experiments.BypassRig(7, 4, 4, sim.Microsecond, fig2Size, arr, nil)
+		return experiments.StackRig(cluster.Bypass, 7, 4, 4, sim.Microsecond, fig2Size, arr, nil)
 	}, 200_000)
 }
 
 func BenchmarkE3_LoadLatency_Kernel(b *testing.B) {
 	benchLoadPoint(b, func(arr workload.ArrivalDist) *experiments.Rig {
-		return experiments.KstackRig(7, 4, 1, sim.Microsecond, fig2Size, arr, nil)
+		return experiments.StackRig(cluster.Kernel, 7, 4, 1, sim.Microsecond, fig2Size, arr, nil)
 	}, 200_000)
 }
 
@@ -123,7 +125,7 @@ func benchDynamic(b *testing.B, mk func() *experiments.Rig) {
 	var cyc float64
 	for i := 0; i < b.N; i++ {
 		r := mk()
-		r.RunMeasured(20*sim.Millisecond, 60*sim.Millisecond)
+		r.U.RunMeasured(20*sim.Millisecond, 60*sim.Millisecond)
 		p99 = sim.Time(r.Gen.Latency.Percentile(0.99)).Microseconds()
 		cyc = r.CyclesPerRequest()
 	}
@@ -135,21 +137,21 @@ func benchDynamic(b *testing.B, mk func() *experiments.Rig) {
 // cores, Zipf 1.1, cloud-RPC sizes, 150 krps).
 func BenchmarkE4_DynamicMix_Lauberhorn(b *testing.B) {
 	benchDynamic(b, func() *experiments.Rig {
-		return experiments.LauberhornRig(11, 8, 64, sim.Microsecond,
+		return experiments.StackRig(cluster.Lauberhorn, 11, 8, 64, sim.Microsecond,
 			workload.CloudRPC(), workload.RatePerSec(150_000), workload.NewZipf(64, 1.1))
 	})
 }
 
 func BenchmarkE4_DynamicMix_Bypass(b *testing.B) {
 	benchDynamic(b, func() *experiments.Rig {
-		return experiments.BypassRig(11, 8, 64, sim.Microsecond,
+		return experiments.StackRig(cluster.Bypass, 11, 8, 64, sim.Microsecond,
 			workload.CloudRPC(), workload.RatePerSec(150_000), workload.NewZipf(64, 1.1))
 	})
 }
 
 func BenchmarkE4_DynamicMix_Kernel(b *testing.B) {
 	benchDynamic(b, func() *experiments.Rig {
-		return experiments.KstackRig(11, 8, 64, sim.Microsecond,
+		return experiments.StackRig(cluster.Kernel, 11, 8, 64, sim.Microsecond,
 			workload.CloudRPC(), workload.RatePerSec(150_000), workload.NewZipf(64, 1.1))
 	})
 }
@@ -170,7 +172,7 @@ func benchIdle(b *testing.B, mk func() *experiments.Rig) {
 	for i := 0; i < b.N; i++ {
 		r := mk()
 		r.Gen.Start(500 * sim.Millisecond)
-		r.S.RunUntil(520 * sim.Millisecond)
+		r.U.RunUntil(520 * sim.Millisecond)
 		joules = r.Energy()
 	}
 	b.ReportMetric(joules, "J")
@@ -178,19 +180,19 @@ func benchIdle(b *testing.B, mk func() *experiments.Rig) {
 
 func BenchmarkE6_IdleCost_Lauberhorn(b *testing.B) {
 	benchIdle(b, func() *experiments.Rig {
-		return experiments.LauberhornRig(5, 1, 1, 0, fig2Size, workload.RatePerSec(200), nil)
+		return experiments.StackRig(cluster.Lauberhorn, 5, 1, 1, 0, fig2Size, workload.RatePerSec(200), nil)
 	})
 }
 
 func BenchmarkE6_IdleCost_Bypass(b *testing.B) {
 	benchIdle(b, func() *experiments.Rig {
-		return experiments.BypassRig(5, 1, 1, 0, fig2Size, workload.RatePerSec(200), nil)
+		return experiments.StackRig(cluster.Bypass, 5, 1, 1, 0, fig2Size, workload.RatePerSec(200), nil)
 	})
 }
 
 func BenchmarkE6_IdleCost_Kernel(b *testing.B) {
 	benchIdle(b, func() *experiments.Rig {
-		return experiments.KstackRig(5, 1, 1, 0, fig2Size, workload.RatePerSec(200), nil)
+		return experiments.StackRig(cluster.Kernel, 5, 1, 1, 0, fig2Size, workload.RatePerSec(200), nil)
 	})
 }
 
@@ -230,14 +232,14 @@ func BenchmarkE9_ModelCheck(b *testing.B) {
 // BenchmarkE10_Ablation_* run the Lauberhorn variants on the E4 workload.
 func BenchmarkE10_Ablation_Full(b *testing.B) {
 	benchDynamic(b, func() *experiments.Rig {
-		return experiments.LauberhornRig(13, 8, 64, sim.Microsecond,
+		return experiments.StackRig(cluster.Lauberhorn, 13, 8, 64, sim.Microsecond,
 			workload.CloudRPC(), workload.RatePerSec(150_000), workload.NewZipf(64, 1.1))
 	})
 }
 
 func BenchmarkE10_Ablation_NoDynamicSched(b *testing.B) {
 	benchDynamic(b, func() *experiments.Rig {
-		r := experiments.LauberhornRig(13, 8, 64, sim.Microsecond,
+		r := experiments.StackRig(cluster.Lauberhorn, 13, 8, 64, sim.Microsecond,
 			workload.CloudRPC(), workload.RatePerSec(150_000), workload.NewZipf(64, 1.1))
 		r.LH.SetDynamicScheduling(false)
 		return r
@@ -246,7 +248,7 @@ func BenchmarkE10_Ablation_NoDynamicSched(b *testing.B) {
 
 func BenchmarkE10_Ablation_SoftwareCodec(b *testing.B) {
 	benchDynamic(b, func() *experiments.Rig {
-		r := experiments.LauberhornRig(13, 8, 64, sim.Microsecond,
+		r := experiments.StackRig(cluster.Lauberhorn, 13, 8, 64, sim.Microsecond,
 			workload.CloudRPC(), workload.RatePerSec(150_000), workload.NewZipf(64, 1.1))
 		r.LH.SetSoftwareCodec(rpcDefaultCostModel())
 		return r

@@ -13,6 +13,7 @@ package main
 import (
 	"fmt"
 
+	"lauberhorn/internal/cluster"
 	"lauberhorn/internal/experiments"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/workload"
@@ -32,27 +33,18 @@ func main() {
 	fmt.Printf("%-22s %10s %10s %10s %12s %10s\n",
 		"stack", "p50(us)", "p99(us)", "served", "cycles/req", "J total")
 
-	type builder struct {
-		name string
-		mk   func() *experiments.Rig
-	}
-	builders := []builder{
-		{"Lauberhorn (ECI)", func() *experiments.Rig {
-			return experiments.LauberhornRig(3, cores, services, serviceTime, size,
-				workload.RatePerSec(rate), workload.NewZipf(services, 1.1))
-		}},
-		{"Kernel bypass", func() *experiments.Rig {
-			return experiments.BypassRig(3, cores, services, serviceTime, size,
-				workload.RatePerSec(rate), workload.NewZipf(services, 1.1))
-		}},
-		{"Linux-style kernel", func() *experiments.Rig {
-			return experiments.KstackRig(3, cores, services, serviceTime, size,
-				workload.RatePerSec(rate), workload.NewZipf(services, 1.1))
-		}},
+	builders := []struct {
+		name  string
+		stack cluster.Stack
+	}{
+		{"Lauberhorn (ECI)", cluster.Lauberhorn},
+		{"Kernel bypass", cluster.Bypass},
+		{"Linux-style kernel", cluster.Kernel},
 	}
 	for _, b := range builders {
-		r := b.mk()
-		r.RunMeasured(20*sim.Millisecond, 80*sim.Millisecond)
+		r := experiments.StackRig(b.stack, 3, cores, services, serviceTime, size,
+			workload.RatePerSec(rate), workload.NewZipf(services, 1.1))
+		r.U.RunMeasured(20*sim.Millisecond, 80*sim.Millisecond)
 		lat := r.Gen.Latency
 		fmt.Printf("%-22s %10.2f %10.2f %10d %12.0f %10.3f\n",
 			b.name,

@@ -384,9 +384,11 @@ func autoClientEP(i int) wire.Endpoint {
 // as baffling simulation behavior: structural errors (duplicate names,
 // missing cores/services/sizes, endpoint collisions, unknown targets or
 // stacks), negative link parameters (Net and Fabric.Uplink, through
-// fabric.NetParams.Validate) and service times, plus each host driver's
-// own topology check (e.g. the bypass port-steering collision). BuildE
-// returns exactly these errors; Build panics on them.
+// fabric.NetParams.Validate) and service times, size and arrival
+// distributions their own Validate method rejects (a negative fixed
+// size, a non-positive fixed interval or Poisson mean), plus each host
+// driver's own topology check (e.g. the bypass port-steering
+// collision). BuildE returns exactly these errors; Build panics on them.
 func (sp *Spec) Validate() error {
 	if len(sp.Hosts) == 0 {
 		return fmt.Errorf("cluster: spec has no hosts")
@@ -507,6 +509,12 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("cluster: duplicate client name %q", c.Name)
 		}
 		clientNames[c.Name] = true
+		if err := validateDist(c.Size); err != nil {
+			return fmt.Errorf("cluster: client %q Size: %w", c.Name, err)
+		}
+		if err := validateDist(c.Arrivals); err != nil {
+			return fmt.Errorf("cluster: client %q Arrivals: %w", c.Name, err)
+		}
 		for _, t := range c.Targets {
 			h, ok := hostNames[t.Host]
 			if !ok {
@@ -527,12 +535,24 @@ func (sp *Spec) Validate() error {
 				return fmt.Errorf("cluster: client %q target %q/%d has no size distribution",
 					c.Name, t.Host, t.Service)
 			}
+			if err := validateDist(t.Size); err != nil {
+				return fmt.Errorf("cluster: client %q target %q/%d Size: %w", c.Name, t.Host, t.Service, err)
+			}
 		}
 		if len(c.Targets) == 0 && c.Size == nil {
 			return fmt.Errorf("cluster: client %q has no size distribution", c.Name)
 		}
 	}
 	return sp.validateDAG()
+}
+
+// validateDist applies a size or arrival distribution's own Validate
+// method, when it has one (the built-in fixed and Poisson ones do).
+func validateDist(d any) error {
+	if v, ok := d.(interface{ Validate() error }); ok {
+		return v.Validate()
+	}
+	return nil
 }
 
 // validateFabric checks the FabricSpec against the machine population.
@@ -679,6 +699,8 @@ func (sp *Spec) validateFaults() error {
 				return fmt.Errorf("cluster: fault %d targets uplink leaf%d:spine%d (%d leaves, %d spines)",
 					i, fs.Leaf, fs.Spine, leaves, sp.Fabric.Spines)
 			}
+		case sp.Direct:
+			return fmt.Errorf("cluster: fault %d needs a Machine target in a Direct topology", i)
 		default:
 			return fmt.Errorf("cluster: fault %d needs a Machine target in a single-switch fabric", i)
 		}

@@ -232,6 +232,9 @@ func TestValidateAndBuildE(t *testing.T) {
 			Spec{Hosts: []HostSpec{
 				{Name: "h", Stack: Stack(99), Cores: 1,
 					Services: []ServiceSpec{{ID: 1, Port: 9000}}}}}},
+		{"direct-uplink-fault", "cluster: fault 0 needs a Machine target in a Direct topology",
+			Spec{Direct: true, Hosts: []HostSpec{okHost}, Clients: []ClientSpec{okClient},
+				Faults: []FaultSpec{{Kind: FaultLinkDown}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -257,11 +260,15 @@ func TestValidateAndBuildE(t *testing.T) {
 }
 
 // TestValidateRejectsNegativeParams pins the exact errors for negative
-// link parameters and service times. Each spec differs from a valid one
-// in one field; without the checks BuildE panicked on the bandwidth
-// ("fabric: link bandwidth must be positive"), and a negative service
-// time panicked mid-run on Lauberhorn and bypass hosts ("kernel:
-// negative Run duration").
+// link parameters and service times, and for negative sizes and
+// non-positive arrival gaps. Each spec differs from a valid one in one
+// field; without the checks BuildE panicked on the bandwidth ("fabric:
+// link bandwidth must be positive"), a negative service time panicked
+// mid-run on Lauberhorn and bypass hosts ("kernel: negative Run
+// duration"), a FixedSize{N: -5} panicked ("slice bounds out of range
+// [:-5]"), a negative FixedRate interval panicked ("sim: negative
+// delay"), a zero one hung, and a Poisson mean <= 0 sent one request per
+// nanosecond.
 func TestValidateRejectsNegativeParams(t *testing.T) {
 	spec := func(stack Stack, edit func(*Spec)) Spec {
 		sp := Spec{
@@ -303,6 +310,19 @@ func TestValidateRejectsNegativeParams(t *testing.T) {
 			`cluster: host "h" service 1 has negative Time -1us`},
 		{"service-time-bypass", spec(Bypass, func(sp *Spec) { sp.Hosts[0].Services[0].Time = -sim.Microsecond }),
 			`cluster: host "h" service 1 has negative Time -1us`},
+		{"client-size", spec(Lauberhorn, func(sp *Spec) { sp.Clients[0].Size = workload.FixedSize{N: -5} }),
+			`cluster: client "c" Size: workload: FixedSize N -5 must be >= 0`},
+		{"target-size", spec(Lauberhorn, func(sp *Spec) {
+			sp.Clients[0].Targets = []TargetSpec{{Host: "h", Service: 1, Size: workload.FixedSize{N: -5}}}
+		}), `cluster: client "c" target "h"/1 Size: workload: FixedSize N -5 must be >= 0`},
+		{"fixed-rate-zero", spec(Lauberhorn, func(sp *Spec) { sp.Clients[0].Arrivals = workload.FixedRate{} }),
+			`cluster: client "c" Arrivals: workload: FixedRate Interval 0ps must be > 0`},
+		{"fixed-rate-negative", spec(Lauberhorn, func(sp *Spec) { sp.Clients[0].Arrivals = workload.FixedRate{Interval: -5} }),
+			`cluster: client "c" Arrivals: workload: FixedRate Interval -5ps must be > 0`},
+		{"poisson-zero", spec(Lauberhorn, func(sp *Spec) { sp.Clients[0].Arrivals = workload.Poisson{} }),
+			`cluster: client "c" Arrivals: workload: Poisson Mean 0ps must be > 0`},
+		{"poisson-negative", spec(Lauberhorn, func(sp *Spec) { sp.Clients[0].Arrivals = workload.Poisson{Mean: -5} }),
+			`cluster: client "c" Arrivals: workload: Poisson Mean -5ps must be > 0`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

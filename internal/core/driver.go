@@ -11,7 +11,7 @@ import (
 // the paper's headline architecture with pure cache-line delivery; Hybrid
 // is the same host with the §6 DMA fallback armed at the default 4 KiB
 // threshold, so large bodies revert to DMA-based transfers in both
-// directions (previously only reachable through e12's hand-built rig).
+// directions.
 func init() {
 	stackdrv.Register(stackdrv.Entry{
 		Kind:  stackdrv.Lauberhorn,

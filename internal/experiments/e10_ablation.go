@@ -1,21 +1,13 @@
 package experiments
 
 import (
+	"lauberhorn/internal/cluster"
 	"lauberhorn/internal/core"
 	"lauberhorn/internal/fabric"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/stats"
 	"lauberhorn/internal/workload"
 )
-
-// lauberhornVariant builds a Lauberhorn rig with ablation knobs applied.
-func lauberhornVariant(seed uint64, nCores, nSvcs int, serviceTime sim.Time,
-	size workload.SizeDist, arrivals workload.ArrivalDist, pop *workload.Zipf,
-	mutate func(h *core.Host)) *Rig {
-	r := LauberhornRig(seed, nCores, nSvcs, serviceTime, size, arrivals, pop)
-	mutate(r.LH)
-	return r
-}
 
 // E10Ablation isolates the contribution of each Lauberhorn design choice
 // on the E4 dynamic workload: full system, minus NIC-driven scheduling
@@ -28,10 +20,6 @@ func E10Ablation(m *sim.Meter) *stats.Table {
 
 	size := workload.CloudRPC()
 	service := sim.Microsecond
-	mk := func(mutate func(h *core.Host)) *Rig {
-		return lauberhornVariant(13, e4Cores, e4Services, service, size,
-			workload.RatePerSec(e4RateRPS), workload.NewZipf(e4Services, 1.1), mutate)
-	}
 	variants := []struct {
 		name   string
 		mutate func(h *core.Host)
@@ -45,9 +33,11 @@ func E10Ablation(m *sim.Meter) *stats.Table {
 		}},
 	}
 	for _, v := range variants {
-		r := mk(v.mutate)
-		m.Observe(r.S)
-		r.RunMeasured(20*sim.Millisecond, 60*sim.Millisecond)
+		r := StackRig(cluster.Lauberhorn, 13, e4Cores, e4Services, service, size,
+			workload.RatePerSec(e4RateRPS), workload.NewZipf(e4Services, 1.1))
+		v.mutate(r.LH)
+		m.Observe(r.U.S)
+		r.U.RunMeasured(20*sim.Millisecond, 60*sim.Millisecond)
 		p := r.Gen.Latency.Percentiles(0.5, 0.99)
 		t.AddRow(v.name,
 			sim.Time(p[0]).Microseconds(),
@@ -66,23 +56,20 @@ func E10Fabrics(m *sim.Meter) *stats.Table {
 		"fabric", "warm RTT (us)", "line fill (ns)")
 	size := workload.FixedSize{N: fig2Body}
 	for _, fb := range []fabric.Params{fabric.ECI, fabric.CXL3} {
-		fb := fb
-		r := func() *Rig {
-			s := sim.New(3)
-			cfg := core.DefaultHostConfig(serverEP(), 1)
-			cfg.NIC.Fabric = fb
-			h := core.NewHost(s, cfg)
-			link := fabric.NewLink(s, fabric.Net100G)
-			gen := workload.NewGenerator(s, genConfig(1, size, workload.RatePerSec(100), nil), link, 0)
-			link.Attach(gen, h.NIC)
-			h.NIC.AttachLink(link, 1)
-			h.RegisterService(echoService(1, 0), basePort, 0)
-			h.Start()
-			return &Rig{S: s, Gen: gen, Link: link, Cores: h.K.Cores(), K: h.K,
-				Served: func() uint64 { return h.Served(1) }, Label: fb.Name, LH: h}
-		}()
-		m.Observe(r.S)
-		rtt := singleRTT(func() *Rig { return r })
+		// Hand-wired: no Spec field picks the Lauberhorn NIC's coherent
+		// fabric.
+		s := sim.New(3)
+		cfg := core.DefaultHostConfig(serverEP(), 1)
+		cfg.NIC.Fabric = fb
+		h := core.NewHost(s, cfg)
+		link := fabric.NewLink(s, fabric.Net100G)
+		gen := workload.NewGenerator(s, genConfig(1, size, workload.RatePerSec(100), nil), link, 0)
+		link.Attach(gen, h.NIC)
+		h.NIC.AttachLink(link, 1)
+		h.RegisterService(echoService(1, 0), basePort, 0)
+		h.Start()
+		m.Observe(s)
+		rtt := singleRTT(s, gen)
 		t.AddRow(fb.Name, rtt.Microseconds(), fb.LineFill.Nanoseconds())
 	}
 	return t

@@ -1,29 +1,11 @@
 package experiments
 
 import (
-	"lauberhorn/internal/core"
-	"lauberhorn/internal/fabric"
+	"lauberhorn/internal/cluster"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/stats"
 	"lauberhorn/internal/workload"
 )
-
-// lhRigWithThreshold builds a 1-core Lauberhorn echo rig with the given
-// DMA fallback threshold (0 disables the fallback).
-func lhRigWithThreshold(threshold int, size workload.SizeDist) *Rig {
-	s := sim.New(19)
-	cfg := core.DefaultHostConfig(serverEP(), 1)
-	cfg.NIC.DMAThreshold = threshold
-	h := core.NewHost(s, cfg)
-	link := fabric.NewLink(s, fabric.Net100G)
-	gen := workload.NewGenerator(s, genConfig(1, size, workload.RatePerSec(100), nil), link, 0)
-	link.Attach(gen, h.NIC)
-	h.NIC.AttachLink(link, 1)
-	h.RegisterService(echoService(1, 0), basePort, 0)
-	h.Start()
-	return &Rig{S: s, Gen: gen, Link: link, Cores: h.K.Cores(), K: h.K,
-		Served: func() uint64 { return h.Served(1) }, Label: "Lauberhorn", LH: h}
-}
 
 // E12HybridDataPath validates §6's large-message policy end to end: warm
 // RTT by message size for pure cache-line delivery versus the hybrid path
@@ -35,14 +17,14 @@ func E12HybridDataPath(m *sim.Meter) *stats.Table {
 	t := stats.NewTable("E12 — hybrid data path: warm RTT by size (1 core, echo)",
 		"body (B)", "cache-line only (us)", "hybrid 4KiB DMA fallback (us)", "hybrid wins")
 
-	measure := func(threshold, size int) sim.Time {
-		r := lhRigWithThreshold(threshold, workload.FixedSize{N: size})
-		m.Observe(r.S)
-		return singleRTT(func() *Rig { return r })
+	measure := func(stack cluster.Stack, size int) sim.Time {
+		r := StackRig(stack, 19, 1, 1, 0, workload.FixedSize{N: size}, workload.RatePerSec(100), nil)
+		m.Observe(r.U.S)
+		return singleRTT(r.U.S, r.Gen)
 	}
 	for _, size := range []int{256, 1024, 2048, 4096, 6144, 8192} {
-		pure := measure(0, size)
-		hybrid := measure(4096, size)
+		pure := measure(cluster.Lauberhorn, size)
+		hybrid := measure(cluster.Hybrid, size)
 		wins := ""
 		if hybrid < pure {
 			wins = "yes"

@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"lauberhorn/internal/cluster"
 	"lauberhorn/internal/core"
-	"lauberhorn/internal/fabric"
 	"lauberhorn/internal/rpc"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/stats"
@@ -21,18 +21,10 @@ func E13DecodePipeline(m *sim.Meter) *stats.Table {
 
 	const bodySize = 1024
 	mk := func(flags uint16) *Rig {
-		s := sim.New(23)
-		h := core.NewHost(s, core.DefaultHostConfig(serverEP(), 1))
-		link := fabric.NewLink(s, fabric.Net100G)
-		cfg := genConfig(1, workload.FixedSize{N: bodySize}, workload.RatePerSec(100), nil)
-		cfg.Targets[0].Flags = flags
-		gen := workload.NewGenerator(s, cfg, link, 0)
-		link.Attach(gen, h.NIC)
-		h.NIC.AttachLink(link, 1)
-		h.RegisterService(echoService(1, 0), basePort, 0)
-		h.Start()
-		return &Rig{S: s, Gen: gen, Link: link, Cores: h.K.Cores(), K: h.K,
-			Served: func() uint64 { return h.Served(1) }, Label: "lh", LH: h}
+		sp := RigSpec(cluster.Lauberhorn, 23, 1, 1, 0, workload.FixedSize{N: bodySize},
+			workload.RatePerSec(100), nil)
+		sp.Clients[0].Targets = []cluster.TargetSpec{{Host: sp.Hosts[0].Name, Service: 1, Flags: flags}}
+		return buildRig(sp)
 	}
 
 	var plain sim.Time
@@ -46,8 +38,8 @@ func E13DecodePipeline(m *sim.Meter) *stats.Table {
 	}
 	for i, c := range cases {
 		r := mk(c.flags)
-		m.Observe(r.S)
-		rtt := singleRTT(func() *Rig { return r })
+		m.Observe(r.U.S)
+		rtt := singleRTT(r.U.S, r.Gen)
 		if i == 0 {
 			plain = rtt
 		}

@@ -7,9 +7,9 @@ import (
 )
 
 // TestE17Claims pins the §6 hybrid claim end to end, from a declarative
-// cluster.Spec rather than e12's hand-built rig: below the DMA threshold
-// the Hybrid stack matches Lauberhorn (identical cache-line path), above
-// it the DMA fallback beats pure cache-line streaming. It also pins the
+// cluster.Spec: below the DMA threshold the Hybrid stack matches
+// Lauberhorn (identical cache-line path), above it the DMA fallback
+// beats pure cache-line streaming. It also pins the
 // registry-driven shape: one row per sweep-registered stack, every one
 // serving traffic.
 func TestE17Claims(t *testing.T) {

@@ -13,23 +13,22 @@ import (
 // the 24-byte RPC header).
 const fig2Body = 40
 
-// singleRTT builds the rig, warms it with a few requests, then measures
-// one request's round trip from the raw generator.
-func singleRTT(mk func() *Rig) sim.Time {
-	r := mk()
-	r.S.RunUntil(sim.Millisecond)
+// singleRTT warms the server behind gen with a few requests, then
+// measures one request's round trip from the raw generator.
+func singleRTT(s *sim.Sim, gen *workload.Generator) sim.Time {
+	s.RunUntil(sim.Millisecond)
 	// Warm: establish the fast path / warm caches.
 	for i := 0; i < 3; i++ {
-		r.Gen.SendTo(0)
-		r.S.RunUntil(r.S.Now() + 5*sim.Millisecond)
+		gen.SendTo(0)
+		s.RunUntil(s.Now() + 5*sim.Millisecond)
 	}
-	r.Gen.Latency.Reset()
-	r.Gen.SendTo(0)
-	r.S.RunUntil(r.S.Now() + 20*sim.Millisecond)
-	if r.Gen.Latency.Count() == 0 {
+	gen.Latency.Reset()
+	gen.SendTo(0)
+	s.RunUntil(s.Now() + 20*sim.Millisecond)
+	if gen.Latency.Count() == 0 {
 		return sim.Never
 	}
-	return sim.Time(r.Gen.Latency.Max())
+	return sim.Time(gen.Latency.Max())
 }
 
 // wireRTT returns the pure network time for the request/response pair so
@@ -39,7 +38,7 @@ func wireRTT(r *Rig) sim.Time {
 	if reqFrame < wire.MinFrameLen {
 		reqFrame = wire.MinFrameLen
 	}
-	p := r.Link.Params()
+	p := r.Host.Link.Params()
 	return 2 * p.OneWay(reqFrame)
 }
 
@@ -72,8 +71,8 @@ func E1Fig2(m *sim.Meter) *stats.Table {
 	var eciSym float64
 	for i, rw := range rows {
 		r := StackRig(rw.stack, 1, 1, 1, 0, size, arr, nil)
-		m.Observe(r.S)
-		raw := singleRTT(func() *Rig { return r })
+		m.Observe(r.U.S)
+		raw := singleRTT(r.U.S, r.Gen)
 		wrt := wireRTT(r)
 		symmetric := 2*raw - wrt
 		if i == 0 {

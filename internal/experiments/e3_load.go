@@ -44,8 +44,8 @@ func E3LoadLatency(m *sim.Meter) *stats.Table {
 		for _, rate := range E3Rates() {
 			r := StackRig(st.Stack, 7, e3Cores, e3Services(st.Stack), service, size,
 				workload.RatePerSec(rate), nil)
-			m.Observe(r.S)
-			r.RunMeasured(20*sim.Millisecond, 50*sim.Millisecond)
+			m.Observe(r.U.S)
+			r.U.RunMeasured(20*sim.Millisecond, 50*sim.Millisecond)
 			p := r.Gen.Latency.Percentiles(0.5, 0.99)
 			t.AddRow(st.Name, rate/1000,
 				sim.Time(p[0]).Microseconds(),
@@ -69,15 +69,15 @@ func E3Throughput(m *sim.Meter) *stats.Table {
 	const window = 50 * sim.Millisecond
 	for _, b := range sweepStacks("Lauberhorn", "Bypass", "Kernel") {
 		r := StackRig(b.Stack, 7, e3Cores, e3Services(b.Stack), service, size, nil, nil)
-		m.Observe(r.S)
-		cl := workload.NewClosedLoop(r.S, genConfig(len(r.Gen.PerTarget), size, nil, nil), r.Link, 0, concurrency, 0)
+		s := r.U.S
+		m.Observe(s)
+		cl := workload.NewClosedLoop(s, genConfig(len(r.Gen.PerTarget), size, nil, nil), r.Host.Link, 0, concurrency, 0)
 		// Substitute the closed-loop client as the link's client port.
-		r.Link.ReplacePort(0, cl)
-		r.Gen = cl.Generator
+		r.Host.Link.ReplacePort(0, cl)
 		cl.Start()
-		r.S.RunUntil(10 * sim.Millisecond)
+		s.RunUntil(10 * sim.Millisecond)
 		received0 := cl.Received
-		r.S.RunUntil(10*sim.Millisecond + window)
+		s.RunUntil(10*sim.Millisecond + window)
 		cl.Stop()
 		rps := float64(cl.Received-received0) / window.Seconds()
 		p := cl.Latency.Percentiles(0.5, 0.99)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"lauberhorn/internal/cluster"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/stats"
 	"lauberhorn/internal/workload"
@@ -24,42 +25,29 @@ func E4DynamicMix(m *sim.Meter) *stats.Table {
 	t := stats.NewTable("E4 — dynamic mix: 64 services, 8 cores, Zipf(1.1), cloud-RPC sizes, 150 krps",
 		"stack", "p50 (us)", "p99 (us)", "p99.9 (us)", "served", "sent", "cycles/req", "uJ/req")
 
-	mkPop := func() *workload.Zipf { return workload.NewZipf(e4Services, 1.1) }
 	size := workload.CloudRPC()
-	service := sim.Microsecond
-	arr := func() workload.ArrivalDist { return workload.RatePerSec(e4RateRPS) }
-
-	churn := func(r *Rig) *Rig {
-		// The hot set rotates every 5 ms: services heat up and cool down
-		// continuously — the churning mixes of §1.
-		r.Gen.SetChurn(5 * sim.Millisecond)
-		return r
-	}
 	builders := []struct {
-		name string
-		mk   func() *Rig
+		name  string
+		stack cluster.Stack
+		churn bool
 	}{
-		{"Lauberhorn", func() *Rig {
-			return LauberhornRig(11, e4Cores, e4Services, service, size, arr(), mkPop())
-		}},
-		{"Bypass (pinned)", func() *Rig {
-			return BypassRig(11, e4Cores, e4Services, service, size, arr(), mkPop())
-		}},
-		{"Kernel", func() *Rig {
-			return KstackRig(11, e4Cores, e4Services, service, size, arr(), mkPop())
-		}},
-		{"Lauberhorn +churn", func() *Rig {
-			return churn(LauberhornRig(11, e4Cores, e4Services, service, size, arr(), mkPop()))
-		}},
-		{"Bypass +churn", func() *Rig {
-			return churn(BypassRig(11, e4Cores, e4Services, service, size, arr(), mkPop()))
-		}},
+		{"Lauberhorn", cluster.Lauberhorn, false},
+		{"Bypass (pinned)", cluster.Bypass, false},
+		{"Kernel", cluster.Kernel, false},
+		{"Lauberhorn +churn", cluster.Lauberhorn, true},
+		{"Bypass +churn", cluster.Bypass, true},
 	}
 	for _, b := range builders {
-		r := b.mk()
-		m.Observe(r.S)
+		r := StackRig(b.stack, 11, e4Cores, e4Services, sim.Microsecond, size,
+			workload.RatePerSec(e4RateRPS), workload.NewZipf(e4Services, 1.1))
+		if b.churn {
+			// The hot set rotates every 5 ms: services heat up and cool
+			// down continuously — the churning mixes of §1.
+			r.Gen.SetChurn(5 * sim.Millisecond)
+		}
+		m.Observe(r.U.S)
 		energy0 := r.Energy()
-		r.RunMeasured(20*sim.Millisecond, 60*sim.Millisecond)
+		r.U.RunMeasured(20*sim.Millisecond, 60*sim.Millisecond)
 		lat := r.Gen.Latency
 		served := r.MeasuredServed()
 		uJ := 0.0

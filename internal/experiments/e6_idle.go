@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"lauberhorn/internal/cluster"
 	"lauberhorn/internal/cpu"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/stats"
@@ -17,22 +18,13 @@ func E6IdleCost(m *sim.Meter) *stats.Table {
 		"stack", "energy (J)", "mJ/req", "spin (ms)", "stall (ms)", "idle (ms)", "busy (ms)", "p50 lat (us)")
 
 	size := workload.FixedSize{N: fig2Body}
-	arr := func() workload.ArrivalDist { return workload.RatePerSec(200) }
-	builders := []struct {
-		name string
-		mk   func() *Rig
-	}{
-		{"Lauberhorn", func() *Rig { return LauberhornRig(5, 1, 1, 0, size, arr(), nil) }},
-		{"Bypass", func() *Rig { return BypassRig(5, 1, 1, 0, size, arr(), nil) }},
-		{"Kernel", func() *Rig { return KstackRig(5, 1, 1, 0, size, arr(), nil) }},
-	}
 	const window = 500 * sim.Millisecond
-	for _, b := range builders {
-		r := b.mk()
-		m.Observe(r.S)
+	for _, b := range sweepStacks("Lauberhorn", "Bypass", "Kernel") {
+		r := StackRig(b.Stack, 5, 1, 1, 0, size, workload.RatePerSec(200), nil)
+		m.Observe(r.U.S)
 		r.Gen.Start(window)
-		r.S.RunUntil(window + 20*sim.Millisecond)
-		c := r.Cores[0]
+		r.U.RunUntil(window + 20*sim.Millisecond)
+		c := r.Cores()[0]
 		served := r.Served()
 		energy := r.Energy()
 		mJ := 0.0
@@ -42,7 +34,7 @@ func E6IdleCost(m *sim.Meter) *stats.Table {
 		ms := func(st cpu.State) float64 {
 			return float64(c.Residency(st)) / float64(sim.Millisecond)
 		}
-		t.AddRow(b.name, energy, mJ,
+		t.AddRow(b.Name, energy, mJ,
 			ms(cpu.Spin), ms(cpu.Stall), ms(cpu.Idle),
 			ms(cpu.User)+ms(cpu.Kernel),
 			sim.Time(r.Gen.Latency.Percentile(0.5)).Microseconds())
@@ -57,10 +49,10 @@ func E6IdleCost(m *sim.Meter) *stats.Table {
 func E6BusTraffic(m *sim.Meter) *stats.Table {
 	t := stats.NewTable("E6b — idle interconnect traffic (1 core, no load, 1s)",
 		"metric", "count", "per second")
-	r := LauberhornRig(5, 1, 1, 0, workload.FixedSize{N: fig2Body}, workload.RatePerSec(1), nil)
-	m.Observe(r.S)
+	r := StackRig(cluster.Lauberhorn, 5, 1, 1, 0, workload.FixedSize{N: fig2Body}, workload.RatePerSec(1), nil)
+	m.Observe(r.U.S)
 	// No traffic at all: do not start the generator.
-	r.S.RunUntil(sim.Second)
+	r.U.RunUntil(sim.Second)
 	st := r.LH.NIC.Stats()
 	dir := r.LH.NIC.Directory().Stats()
 	t.AddRow("TryAgain messages", st.TryAgains, float64(st.TryAgains))

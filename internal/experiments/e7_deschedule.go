@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"lauberhorn/internal/cluster"
 	"lauberhorn/internal/kernel"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/stats"
@@ -17,42 +18,43 @@ func E7Deschedule(m *sim.Meter) *stats.Table {
 		"metric", "value (us)")
 
 	size := workload.FixedSize{N: fig2Body}
-	r := LauberhornRig(3, 1, 1, 0, size, workload.RatePerSec(100), nil)
-	m.Observe(r.S)
-	r.S.RunUntil(sim.Millisecond)
+	r := StackRig(cluster.Lauberhorn, 3, 1, 1, 0, size, workload.RatePerSec(100), nil)
+	s := r.U.S
+	m.Observe(s)
+	s.RunUntil(sim.Millisecond)
 	// Warm into the user loop.
 	r.Gen.SendTo(0)
-	r.S.RunUntil(6 * sim.Millisecond)
+	s.RunUntil(6 * sim.Millisecond)
 
 	// Deschedule the (stalled) worker.
-	start := r.S.Now()
+	start := s.Now()
 	r.LH.Deschedule(0)
 	worker := r.LH.Worker(0)
-	for r.S.Now() < start+5*sim.Millisecond {
+	for s.Now() < start+5*sim.Millisecond {
 		if worker.Proc() == kernel.KernelProc && !worker.Stalled() {
 			break
 		}
-		if !r.S.Step() {
+		if !s.Step() {
 			break
 		}
 	}
-	unblock := r.S.Now() - start
+	unblock := s.Now() - start
 	t.AddRow("unblock (kick -> back in kernel)", unblock.Microseconds())
 
 	// Let the worker park on the kernel line again, then measure a cold
 	// redispatch.
-	r.S.RunUntil(r.S.Now() + 2*sim.Millisecond)
+	s.RunUntil(s.Now() + 2*sim.Millisecond)
 	r.Gen.Latency.Reset()
 	r.Gen.SendTo(0)
-	r.S.RunUntil(r.S.Now() + 10*sim.Millisecond)
+	s.RunUntil(s.Now() + 10*sim.Millisecond)
 	cold := sim.Time(r.Gen.Latency.Max())
 	t.AddRow("post-deschedule request RTT (kernel dispatch)", cold.Microseconds())
 
 	// Reference: warm fast-path RTT.
-	r.S.RunUntil(r.S.Now() + 2*sim.Millisecond)
+	s.RunUntil(s.Now() + 2*sim.Millisecond)
 	r.Gen.Latency.Reset()
 	r.Gen.SendTo(0)
-	r.S.RunUntil(r.S.Now() + 10*sim.Millisecond)
+	s.RunUntil(s.Now() + 10*sim.Millisecond)
 	warm := sim.Time(r.Gen.Latency.Max())
 	t.AddRow("warm fast-path RTT (reference)", warm.Microseconds())
 	t.AddNote("a blocked communication load is a clean synchronization point (§5.1): unblock costs an IPI + TryAgain, microseconds not quanta")

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"lauberhorn/internal/cluster"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/workload"
 )
@@ -162,13 +163,9 @@ func TestRegistry(t *testing.T) {
 func TestRigSmoke(t *testing.T) {
 	// A small end-to-end run on each stack to keep the rigs honest.
 	size := workload.FixedSize{N: 40}
-	for _, mk := range []func() *Rig{
-		func() *Rig { return LauberhornRig(2, 2, 2, 0, size, workload.RatePerSec(20000), nil) },
-		func() *Rig { return BypassRig(2, 2, 2, 0, size, workload.RatePerSec(20000), nil) },
-		func() *Rig { return KstackRig(2, 2, 2, 0, size, workload.RatePerSec(20000), nil) },
-	} {
-		r := mk()
-		r.RunMeasured(5*sim.Millisecond, 10*sim.Millisecond)
+	for _, stack := range []cluster.Stack{cluster.Lauberhorn, cluster.Bypass, cluster.Kernel} {
+		r := StackRig(stack, 2, 2, 2, 0, size, workload.RatePerSec(20000), nil)
+		r.U.RunMeasured(5*sim.Millisecond, 10*sim.Millisecond)
 		if r.MeasuredServed() == 0 {
 			t.Errorf("%s served nothing", r.Label)
 		}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"lauberhorn/internal/cluster"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/workload"
 )
@@ -160,9 +161,9 @@ func TestAllExperimentsRun(t *testing.T) {
 // total within tolerance. This ties the breakdown table to the simulation
 // rather than letting the two drift apart.
 func TestE2ConsistentWithMeasuredCycles(t *testing.T) {
-	r := LauberhornRig(7, 1, 1, sim.Microsecond, workload.FixedSize{N: fig2Body},
+	r := StackRig(cluster.Lauberhorn, 7, 1, 1, sim.Microsecond, workload.FixedSize{N: fig2Body},
 		workload.RatePerSec(50_000), nil)
-	r.RunMeasured(20*sim.Millisecond, 50*sim.Millisecond)
+	r.U.RunMeasured(20*sim.Millisecond, 50*sim.Millisecond)
 	measured := r.CyclesPerRequest()
 	const handlerCycles = 2500.0 // 1us at 2.5GHz
 	overheadNs := (measured - handlerCycles) / 2.5

@@ -18,10 +18,6 @@ import (
 	"fmt"
 
 	"lauberhorn/internal/cluster"
-	"lauberhorn/internal/core"
-	"lauberhorn/internal/cpu"
-	"lauberhorn/internal/fabric"
-	"lauberhorn/internal/kernel"
 	"lauberhorn/internal/rpc"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/stackdrv"
@@ -73,62 +69,16 @@ func targets(n int, size workload.SizeDist) []workload.Target {
 	return out
 }
 
-// Rig is one server machine plus an attached load generator, with the
-// accessors the experiments need, independent of which stack it runs.
-// Since the cluster refactor a Rig is a thin view over a one-host
-// one-client cluster.Universe (see the U field); the constructors below
-// only translate their flat parameter lists into a cluster.Spec.
+// Rig is a built RigSpec: the embedded Host is the server, the embedded
+// Client the machine loading it (its Gen drives the traffic), and U the
+// universe that runs them — U.S is the simulator and U.RunMeasured the
+// measurement protocol. A Rig holds no state of its own. Host and Client
+// both carry Spec, EP, Link, Leaf and Trans, so those need the embedded
+// name (r.Host.Link).
 type Rig struct {
-	S    *sim.Sim
-	Gen  *workload.Generator
-	Link *fabric.Link
-
-	// Cores exposes CPU accounting.
-	Cores []*cpu.Core
-	// K is the server's kernel (nil only for hypothetical rigs).
-	K *kernel.Kernel
-	// Served returns the number of requests completed by the server.
-	Served func() uint64
-	// Label names the stack.
-	Label string
-
-	// LH is non-nil for Lauberhorn rigs.
-	LH *core.Host
-
-	// U is the underlying cluster universe (nil only for rigs assembled
-	// by hand in tests).
+	*cluster.Host
+	*cluster.Client
 	U *cluster.Universe
-
-	measuredServed uint64
-	measuredSent   uint64
-}
-
-// Energy returns total server CPU energy in joules under the default
-// power model.
-func (r *Rig) Energy() float64 {
-	return cpu.TotalEnergy(r.Cores, cpu.DefaultPowerModel())
-}
-
-// BusyTime sums user+kernel residency across cores.
-func (r *Rig) BusyTime() sim.Time {
-	var t sim.Time
-	for _, c := range r.Cores {
-		t += c.BusyTime()
-	}
-	return t
-}
-
-// CyclesPerRequest returns busy cycles per served request.
-func (r *Rig) CyclesPerRequest() float64 {
-	served := r.Served()
-	if served == 0 {
-		return 0
-	}
-	var cyc float64
-	for _, c := range r.Cores {
-		cyc += c.Cycles(c.BusyTime())
-	}
-	return cyc / float64(served)
 }
 
 // genConfig assembles the generator config for n services.
@@ -166,19 +116,20 @@ func sweepStacks(names ...string) []stackChoice {
 	return out
 }
 
-// StackRig translates a flat parameter list into a Direct
-// (point-to-point, no switch) one-host one-client cluster.Spec for any
-// registered stack and adapts the built universe to the Rig view.
-// InheritRNG keeps the generator's RNG stream — and therefore every
-// pre-cluster table — byte-identical to the original hand-wired
-// construction. The per-stack constructors below are thin wrappers.
-func StackRig(stack cluster.Stack, seed uint64, nCores, nSvcs int, serviceTime sim.Time,
-	size workload.SizeDist, arrivals workload.ArrivalDist, pop *workload.Zipf) *Rig {
+// RigSpec translates a flat parameter list into the Direct
+// (point-to-point, no switch) one-host one-client cluster.Spec every
+// single-server rig is built from: nSvcs echo services with sequential
+// IDs and ports on one host of any registered stack, loaded by one
+// client. InheritRNG keeps the generator's RNG stream — and therefore
+// every pre-cluster table — byte-identical to the original hand-wired
+// construction.
+func RigSpec(stack cluster.Stack, seed uint64, nCores, nSvcs int, serviceTime sim.Time,
+	size workload.SizeDist, arrivals workload.ArrivalDist, pop *workload.Zipf) cluster.Spec {
 	svcs := make([]cluster.ServiceSpec, nSvcs)
 	for i := range svcs {
 		svcs[i] = cluster.ServiceSpec{ID: uint32(i + 1), Port: basePort + uint16(i), Time: serviceTime}
 	}
-	u := cluster.Build(cluster.Spec{
+	return cluster.Spec{
 		Seed:   seed,
 		Direct: true,
 		Hosts: []cluster.HostSpec{{
@@ -189,75 +140,17 @@ func StackRig(stack cluster.Stack, seed uint64, nCores, nSvcs int, serviceTime s
 			Name: "client", Size: size, Arrivals: arrivals, Popularity: pop,
 			Endpoint: clientEP(), InheritRNG: true,
 		}},
-	})
-	h := u.Hosts[0]
-	return &Rig{S: u.S, Gen: u.Clients[0].Gen, Link: h.Link, Cores: h.Cores(),
-		K: h.K, Served: h.Served, Label: h.Label, LH: h.LH, U: u}
-}
-
-// LauberhornRig builds a Lauberhorn server with nCores and nSvcs echo
-// services.
-func LauberhornRig(seed uint64, nCores, nSvcs int, serviceTime sim.Time,
-	size workload.SizeDist, arrivals workload.ArrivalDist, pop *workload.Zipf) *Rig {
-	return StackRig(cluster.Lauberhorn, seed, nCores, nSvcs, serviceTime, size, arrivals, pop)
-}
-
-// BypassRig builds a kernel-bypass server: one worker per service, each
-// bound to a port-steered NIC queue, workers pinned round-robin across
-// cores (statically provisioned, as IX/Arrakis deployments are).
-func BypassRig(seed uint64, nCores, nSvcs int, serviceTime sim.Time,
-	size workload.SizeDist, arrivals workload.ArrivalDist, pop *workload.Zipf) *Rig {
-	return StackRig(cluster.Bypass, seed, nCores, nSvcs, serviceTime, size, arrivals, pop)
-}
-
-// KstackRig builds a traditional kernel-stack server: RSS queues steered
-// to cores, one server thread per service scheduled by the kernel.
-func KstackRig(seed uint64, nCores, nSvcs int, serviceTime sim.Time,
-	size workload.SizeDist, arrivals workload.ArrivalDist, pop *workload.Zipf) *Rig {
-	return StackRig(cluster.Kernel, seed, nCores, nSvcs, serviceTime, size, arrivals, pop)
-}
-
-// KstackEnzianRig is the kernel stack over the Enzian FPGA NIC (the
-// paper's "Enzian DMA" series).
-func KstackEnzianRig(seed uint64, nCores, nSvcs int, serviceTime sim.Time,
-	size workload.SizeDist, arrivals workload.ArrivalDist, pop *workload.Zipf) *Rig {
-	return StackRig(cluster.KernelEnzian, seed, nCores, nSvcs, serviceTime, size, arrivals, pop)
-}
-
-// RunMeasured warms the rig for warm, resets latency statistics, runs the
-// generator for measure, then drains. Cluster-built rigs delegate to the
-// universe's measurement protocol so exactly one canonical protocol
-// exists; the inline copy below serves only hand-assembled rigs (and the
-// legacy regression constructors, which deliberately exercise it).
-func (r *Rig) RunMeasured(warm, measure sim.Time) {
-	// (The Gen identity check matters: experiments like E3Throughput swap
-	// in a different client after construction, at which point the
-	// universe no longer describes this rig's load source.)
-	if r.U != nil && r.Gen == r.U.Clients[0].Gen {
-		r.U.RunMeasured(warm, measure)
-		r.measuredServed = r.U.Hosts[0].MeasuredServed()
-		r.measuredSent = r.U.Clients[0].MeasuredSent()
-		return
 	}
-	r.Gen.Start(0)
-	r.S.RunUntil(warm)
-	servedAtReset := r.Served()
-	sentAtReset := r.Gen.Sent
-	r.Gen.Latency.Reset()
-	for _, h := range r.Gen.PerTarget {
-		h.Reset()
-	}
-	r.S.RunUntil(warm + measure)
-	r.Gen.Stop()
-	// Drain responses in flight (bounded).
-	r.S.RunUntil(warm + measure + 20*sim.Millisecond)
-	r.measuredServed = r.Served() - servedAtReset
-	r.measuredSent = r.Gen.Sent - sentAtReset
 }
 
-// MeasuredServed returns requests served inside the measurement window of
-// the last RunMeasured.
-func (r *Rig) MeasuredServed() uint64 { return r.measuredServed }
+// buildRig builds a rig Spec (see RigSpec), panicking if it is invalid.
+func buildRig(sp cluster.Spec) *Rig {
+	u := cluster.Build(sp)
+	return &Rig{Host: u.Hosts[0], Client: u.Clients[0], U: u}
+}
 
-// MeasuredSent returns requests sent inside the measurement window.
-func (r *Rig) MeasuredSent() uint64 { return r.measuredSent }
+// StackRig builds the RigSpec of the given parameters.
+func StackRig(stack cluster.Stack, seed uint64, nCores, nSvcs int, serviceTime sim.Time,
+	size workload.SizeDist, arrivals workload.ArrivalDist, pop *workload.Zipf) *Rig {
+	return buildRig(RigSpec(stack, seed, nCores, nSvcs, serviceTime, size, arrivals, pop))
+}

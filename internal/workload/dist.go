@@ -40,6 +40,14 @@ func (f FixedSize) Sample(*sim.RNG) int { return f.N }
 // String describes the distribution.
 func (f FixedSize) String() string { return fmt.Sprintf("fixed(%dB)", f.N) }
 
+// Validate rejects a negative size.
+func (f FixedSize) Validate() error {
+	if f.N < 0 {
+		return fmt.Errorf("workload: FixedSize N %d must be >= 0", f.N)
+	}
+	return nil
+}
+
 // UniformSize draws uniformly from [Min, Max].
 type UniformSize struct{ Min, Max int }
 
@@ -159,6 +167,15 @@ func (f FixedRate) Next(*sim.RNG) sim.Time { return f.Interval }
 // String describes the process.
 func (f FixedRate) String() string { return fmt.Sprintf("fixed(%v)", f.Interval) }
 
+// Validate rejects a non-positive interval: a zero gap never advances
+// time, and a negative one schedules into the past.
+func (f FixedRate) Validate() error {
+	if f.Interval <= 0 {
+		return fmt.Errorf("workload: FixedRate Interval %v must be > 0", f.Interval)
+	}
+	return nil
+}
+
 // Poisson emits arrivals with exponential inter-arrival times.
 type Poisson struct{ Mean sim.Time }
 
@@ -173,6 +190,15 @@ func (p Poisson) Next(r *sim.RNG) sim.Time {
 
 // String describes the process.
 func (p Poisson) String() string { return fmt.Sprintf("poisson(mean=%v)", p.Mean) }
+
+// Validate rejects a non-positive mean, which Next would otherwise turn
+// into one arrival per nanosecond.
+func (p Poisson) Validate() error {
+	if p.Mean <= 0 {
+		return fmt.Errorf("workload: Poisson Mean %v must be > 0", p.Mean)
+	}
+	return nil
+}
 
 // MMPP is a two-state Markov-modulated Poisson process: a bursty arrival
 // stream alternating between a calm and a hot state. State holding
