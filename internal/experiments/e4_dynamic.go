@@ -46,13 +46,14 @@ func E4DynamicMix(m *sim.Meter) *stats.Table {
 			r.Gen.SetChurn(5 * sim.Millisecond)
 		}
 		m.Observe(r.U.S)
-		energy0 := r.Energy()
 		r.U.RunMeasured(20*sim.Millisecond, 60*sim.Millisecond)
 		lat := r.Gen.Latency
 		served := r.MeasuredServed()
+		// Windowed energy over windowed served, as e16 reports it:
+		// warm-up joules must not inflate the per-request cost.
 		uJ := 0.0
 		if served > 0 {
-			uJ = (r.Energy() - energy0) / float64(served) * 1e6
+			uJ = r.MeasuredEnergy() / float64(served) * 1e6
 		}
 		p := lat.Percentiles(0.5, 0.99, 0.999)
 		t.AddRow(b.name,

@@ -88,6 +88,12 @@ func TestE4Claims(t *testing.T) {
 	if lhCyc >= knCyc/2 {
 		t.Errorf("Lauberhorn cycles/req %v not well below kernel %v", lhCyc, knCyc)
 	}
+	// Per-request energy, as e16 checks it: the statically provisioned
+	// bypass cores spin through the idle share of the mix.
+	lhE, byE := get(0, 7), get(1, 7)
+	if byE < 2*lhE {
+		t.Errorf("bypass uJ/req %v not well above Lauberhorn %v", byE, lhE)
+	}
 	t.Logf("\n%s", tb)
 }
 
