@@ -54,10 +54,10 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestRunRejects pins the exit code and message for flag sets a one-host
-// Spec cannot carry, which cluster.Spec.Validate reports, and pins that a
-// transport runs on one host.
-func TestRunRejects(t *testing.T) {
+// TestRunExitCodes pins the exit code and message for flag sets a
+// one-host Spec cannot carry, which cluster.Spec.Validate reports, and
+// pins that a transport runs on one host.
+func TestRunExitCodes(t *testing.T) {
 	cases := []struct {
 		flags  []string
 		code   int

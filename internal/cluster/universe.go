@@ -611,8 +611,8 @@ func (u *Universe) StartClients() int {
 
 // RunMeasured warms the universe for warm, resets every client's latency
 // statistics, runs for measure, stops the clients, and drains in-flight
-// responses (bounded) — the cluster generalization of the single-rig
-// measurement protocol.
+// responses (bounded). It is the one measurement protocol: the
+// single-server experiment rigs are universes too.
 func (u *Universe) RunMeasured(warm, measure sim.Time) {
 	if u.StartClients() == 0 {
 		panic("cluster: RunMeasured on a universe with no open-loop clients")
