@@ -115,27 +115,14 @@ func (n *NIC) answerClientLoad(addr mesi.LineAddr, ch *clientChanNIC, coreID int
 
 // transmitClientReq builds and sends an outbound request frame.
 func (n *NIC) transmitClientReq(ch *clientChanNIC, req parsedClientReq) {
-	body := req.Inline
-	if aux, ok := n.clientAuxOut[req.Serial]; ok {
-		full := make([]byte, 0, req.BodyLen)
-		full = append(full, req.Inline...)
-		full = append(full, aux...)
-		body = full
-		delete(n.clientAuxOut, req.Serial)
-	}
-	if len(body) > req.BodyLen {
-		body = body[:req.BodyLen]
-	}
+	inline, aux := clipBody(req.Inline, n.clientAuxOut[req.Serial], req.BodyLen)
+	delete(n.clientAuxOut, req.Serial)
 	call := &clientCall{serial: req.Serial, chanID: ch.id}
 	ch.outstanding = call
 	n.clientCalls[req.Serial] = call
 	n.stats.ClientReqs++
 	dst := wire.Endpoint{MAC: n.resolve(req.DstIP), IP: req.DstIP, Port: req.DstPort}
-	// Encode into the reused scratch: txRPC copies the payload into the
-	// frame before returning.
-	n.encScr = rpc.AppendMessage(n.encScr[:0],
-		rpc.Header{Kind: rpc.KindRequest, Service: req.Svc, Method: req.Method, ID: req.Serial}, body)
-	n.txRPC(dst, n.encScr)
+	n.txRPC(dst, rpc.Header{Kind: rpc.KindRequest, Service: req.Svc, Method: req.Method, ID: req.Serial}, inline, aux)
 }
 
 // AddARP installs a static IP→MAC mapping for outbound calls (the control

@@ -233,15 +233,11 @@ type NIC struct {
 
 	// Per-NIC staging scratch: the receive path parses frames into rxScr
 	// and appends it by value onto decq; decodeDone copies the head slot
-	// into dispScr before dispatching. bodyScr merges a response's inline
-	// and aux bytes, and encScr backs synchronous response encodings
-	// (AppendMessage copies the body, BuildUDP copies the payload into the
-	// frame before txRPC returns). All are reused every packet, so the
+	// into dispScr before dispatching. Both are reused every packet, and
+	// txRPC gathers each message straight into its frame, so the
 	// steady-state receive/transmit paths allocate nothing.
 	rxScr   decoded
 	dispScr decoded
-	bodyScr []byte
-	encScr  []byte
 	// lineScr backs dispatch/marker control-line builds whose consumer
 	// copies the line synchronously (the directory's deliver path); the
 	// viaDMA dispatch, which parks its line across simulated time, still
@@ -1015,7 +1011,7 @@ func (n *NIC) admit(dec *decoded) {
 		// zero host involvement.
 		n.stats.RxFrames++
 		n.txRPC(wire.Endpoint{MAC: d.Eth.Src, IP: d.IP.Src, Port: d.UDP.SrcPort},
-			rpc.EncodeResponse(msg.Service, msg.Method, msg.ID, rpc.StatusNoSuchMethod, nil))
+			rpc.Header{Kind: rpc.KindResponse, Service: msg.Service, Method: msg.Method, ID: msg.ID, Status: rpc.StatusNoSuchMethod}, nil, nil)
 		n.frames.Put(dec.frame)
 		return
 	}
@@ -1087,8 +1083,9 @@ func (n *NIC) admit(dec *decoded) {
 
 // ---- transmit path ----
 
-// transmitResponse parses the recalled response line, merges aux bytes,
-// and sends the RPC response to the client.
+// transmitResponse parses the recalled response line and sends the RPC
+// response to the client, its body the line's inline bytes followed by
+// any aux bytes.
 //
 //lhlint:hotpath
 func (n *NIC) transmitResponse(serial uint64, line []byte) {
@@ -1104,50 +1101,65 @@ func (n *NIC) transmitResponse(serial uint64, line []byte) {
 		return
 	}
 	delete(n.inflights, serial)
-	body := pr.Inline
-	if aux, ok := n.auxOut[serial]; ok {
-		n.bodyScr = append(append(n.bodyScr[:0], pr.Inline...), aux...)
-		body = n.bodyScr
+	staged, hasAux := n.auxOut[serial]
+	if hasAux {
 		delete(n.auxOut, serial)
-		n.auxFree = append(n.auxFree, aux)
 	}
-	if len(body) > pr.BodyLen {
-		body = body[:pr.BodyLen]
-	}
+	inline, aux := clipBody(pr.Inline, staged, pr.BodyLen)
+	h := rpc.Header{Kind: rpc.KindResponse, Service: req.svc, Method: req.method, ID: req.rpcID, Status: pr.Status}
 	if pr.Buf && req.dmaResp {
 		// Pull the buffer out of host memory before transmitting. The
-		// payload must be freshly allocated here: the closure holds it
-		// until the DMA completes, so it cannot come from encScr.
-		payload := rpc.EncodeResponse(req.svc, req.method, req.rpcID, pr.Status, body)
+		// closure holds the body until the DMA completes, so the body is
+		// copied out of the line and the aux buffer, which are reused.
+		body := append(append(make([]byte, 0, len(inline)+len(aux)), inline...), aux...)
 		//lhlint:allow hotpath DMA-buffer fallback path, not the cache-line fast path; the closure models the pending descriptor
 		n.sim.After(n.cfg.DMA.DMARead+n.cfg.DMA.DMATransfer(len(body)), "lh-dma-out", func() {
-			n.txRPC(req.client, payload)
+			n.txRPC(req.client, h, body, nil)
 		})
-		return
+	} else {
+		// Fast path: txRPC copies the inline and aux bytes straight into
+		// the frame. Neither aliases the request frame, which is dead:
+		// recycle it first, so the response reuses its buffer, and then
+		// the inflight (the DMA path above must not: its closure holds
+		// req until DMA-out).
+		n.frames.Put(req.frame)
+		n.txRPC(req.client, h, inline, aux)
+		n.freeInflight(req)
 	}
-	// Fast path: encode into the reused scratch buffer — txRPC copies the
-	// payload into the frame before returning. The encoding copied the
-	// body, so the request frame is dead: recycle it and the inflight
-	// (the DMA path above must not: its closure holds req until DMA-out).
-	n.encScr = rpc.AppendMessage(n.encScr[:0],
-		rpc.Header{Kind: rpc.KindResponse, Service: req.svc, Method: req.method, ID: req.rpcID, Status: pr.Status}, body)
-	n.frames.Put(req.frame)
-	n.txRPC(req.client, n.encScr)
-	n.freeInflight(req)
+	if hasAux {
+		n.auxFree = append(n.auxFree, staged)
+	}
 }
 
-// txRPC frames and transmits an RPC message after the NIC TX build cost.
-// Built frames wait in a FIFO staging queue; TxBuild is constant, so the
-// single prebound txFn fires them in schedule order without allocating a
-// closure per packet.
+// clipBody returns the first n bytes of the body inline followed by aux,
+// as the same two pieces.
+func clipBody(inline, aux []byte, n int) ([]byte, []byte) {
+	if len(inline) >= n {
+		return inline[:n], nil
+	}
+	if len(inline)+len(aux) > n {
+		aux = aux[:n-len(inline)]
+	}
+	return inline, aux
+}
+
+// txRPC frames and transmits an RPC message, header h and a body of the
+// inline bytes followed by aux (either may be empty), after the NIC TX
+// build cost. The header is encoded on the stack and the frame build
+// copies it and both body pieces straight into the frame, so they need
+// live only until txRPC returns. Built frames wait in a FIFO staging
+// queue; TxBuild is constant, so the single prebound txFn fires them in
+// schedule order without allocating a closure per packet.
 //
 //lhlint:hotpath
-func (n *NIC) txRPC(dst wire.Endpoint, payload []byte) {
+func (n *NIC) txRPC(dst wire.Endpoint, h rpc.Header, inline, aux []byte) {
 	if n.link == nil {
 		panic("core: NIC has no link")
 	}
+	var hdr [rpc.HeaderLen]byte
+	rpc.PutHeader(hdr[:], h, len(inline)+len(aux))
 	n.ipID++
-	frame, err := n.frames.BuildUDP(n.cfg.Local, dst, n.ipID, payload)
+	frame, err := n.frames.BuildUDP(n.cfg.Local, dst, n.ipID, hdr[:], inline, aux)
 	if err != nil {
 		panic(fmt.Sprintf("core: tx: %v", err))
 	}

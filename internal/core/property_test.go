@@ -206,3 +206,22 @@ func TestQueueOverflowProperty(t *testing.T) {
 		t.Fatal("service wedged after overflow")
 	}
 }
+
+// Property: clipBody returns the first n bytes of inline followed by aux
+// as two pieces, which join to exactly what the joined body cut to n
+// would be.
+func TestClipBodyProperty(t *testing.T) {
+	f := func(inline, aux []byte, n uint16) bool {
+		joined := append(append([]byte(nil), inline...), aux...)
+		k := int(n) % (len(joined) + 8) // also past the end
+		want := joined
+		if len(want) > k {
+			want = want[:k]
+		}
+		a, b := clipBody(inline, aux, k)
+		return bytes.Equal(append(append([]byte(nil), a...), b...), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}

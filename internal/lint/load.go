@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -132,13 +133,10 @@ func (m *Module) parseDir(dir string) error {
 		rel = ""
 	}
 	pkg := &Package{ImportPath: path.Join(m.Path, filepath.ToSlash(rel)), Dir: filepath.ToSlash(rel)}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
+	names, err := goFiles(dir, entries)
+	if err != nil {
+		return err
 	}
-	sort.Strings(names)
 	for _, name := range names {
 		src, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -166,6 +164,29 @@ func (m *Module) parseDir(dir string) error {
 	m.Packages = append(m.Packages, pkg)
 	m.byPath[pkg.ImportPath] = pkg
 	return nil
+}
+
+// goFiles returns the sorted names of the .go files in dir that the go
+// tool would build for this host: a file whose name or //go:build line
+// excludes the host's GOOS and GOARCH (sum_amd64.go on arm64, say) is
+// left out, so per-architecture files that declare the same names do not
+// collide.
+func goFiles(dir string, entries []fs.DirEntry) ([]string, error) {
+	var names []string
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+		if ok {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	return names, nil
 }
 
 // typecheck type-checks the module package with the given import path,
@@ -222,13 +243,10 @@ func LoadDir(dir string) (*token.FileSet, *Package, error) {
 		return nil, nil, err
 	}
 	pkg := &Package{ImportPath: filepath.Base(dir), Dir: filepath.ToSlash(dir)}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
+	names, err := goFiles(dir, entries)
+	if err != nil {
+		return nil, nil, err
 	}
-	sort.Strings(names)
 	for _, name := range names {
 		src, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {

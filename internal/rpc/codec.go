@@ -103,19 +103,28 @@ func Encode(h Header, body []byte) []byte {
 }
 
 // AppendMessage serializes hdr+body onto dst and returns the extended
-// slice. Hot paths that consume the encoding synchronously (the NIC copies
-// it into a frame before returning) pass a per-component scratch buffer so
-// the steady state allocates nothing.
+// slice. Stacks that must hold a message's encoding pass a per-component
+// scratch buffer so the steady state allocates nothing.
 //
 //lhlint:hotpath
 func AppendMessage(dst []byte, h Header, body []byte) []byte {
-	if len(body) > 0xffff {
-		panicBodyTooLarge(len(body))
-	}
-	h.BodyLen = uint16(len(body))
 	off := len(dst)
 	dst = append(dst, make([]byte, HeaderLen)...)
-	b := dst[off:]
+	PutHeader(dst[off:], h, len(body))
+	return append(dst, body...)
+}
+
+// PutHeader encodes the header of a message with a bodyLen-byte body
+// into b[:HeaderLen]; h.BodyLen is ignored. Hot paths that frame a
+// message in one pass (the generators, the Lauberhorn NIC) encode the
+// header into a stack array and hand it and the body to the frame build
+// as separate pieces, so the body is copied once, straight into the frame.
+//
+//lhlint:hotpath
+func PutHeader(b []byte, h Header, bodyLen int) {
+	if bodyLen > 0xffff {
+		panicBodyTooLarge(bodyLen)
+	}
 	binary.BigEndian.PutUint16(b[0:2], Magic)
 	b[2] = Version
 	b[3] = h.Kind
@@ -124,12 +133,11 @@ func AppendMessage(dst []byte, h Header, body []byte) []byte {
 	binary.BigEndian.PutUint16(b[10:12], h.Flags)
 	binary.BigEndian.PutUint64(b[12:20], h.ID)
 	binary.BigEndian.PutUint16(b[20:22], h.Status)
-	binary.BigEndian.PutUint16(b[22:24], h.BodyLen)
-	return append(dst, body...)
+	binary.BigEndian.PutUint16(b[22:24], uint16(bodyLen))
 }
 
 // panicBodyTooLarge keeps the fmt boxing of the oversize panic off
-// AppendMessage's hot path; it never returns.
+// PutHeader's hot path; it never returns.
 func panicBodyTooLarge(n int) {
 	panic(fmt.Sprintf("rpc: body too large: %d", n))
 }

@@ -241,8 +241,15 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 		if len(body) > 60000 {
 			body = body[:60000]
 		}
-		b := Encode(Header{Kind: KindResponse, Service: service, Method: method,
-			ID: id, Flags: flags, Status: status}, body)
+		h := Header{Kind: KindResponse, Service: service, Method: method,
+			ID: id, Flags: flags, Status: status}
+		b := Encode(h, body)
+		// The header-only encoder writes the same header bytes.
+		var hdr [HeaderLen]byte
+		PutHeader(hdr[:], h, len(body))
+		if !bytes.Equal(hdr[:], b[:HeaderLen]) {
+			return false
+		}
 		m, err := Decode(b)
 		if err != nil {
 			return false

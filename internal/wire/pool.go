@@ -42,49 +42,55 @@ func paddedLen(payload int) int {
 	return n
 }
 
-// BuildUDP is wire.BuildUDP drawing its frame from the pool. The frame
-// is cleared before the headers are written, so pooled and fresh frames
-// are byte-identical.
+// BuildUDP builds a frame from src to dst whose UDP payload is the
+// pieces joined in order, computing both checksums, in a buffer drawn
+// from the pool. It is a gather build: it writes every header byte and
+// copies each piece straight into place, so a caller can pass an encoded
+// RPC header and the body it heads without joining them first, and a
+// recycled buffer needs no clearing; only the padding of a frame shorter
+// than MinFrameLen is zeroed. The pieces need live only until BuildUDP
+// returns, and must not alias the buffer it draws. The frame is
+// byte-identical to wire.BuildUDP of the joined payload, which is this
+// build with no pool and one piece. The payload must fit the MTU.
 //
 //lhlint:hotpath
-func (p *FramePool) BuildUDP(src, dst Endpoint, ipID uint16, payload []byte) ([]byte, error) {
-	if p == nil {
-		return BuildUDP(src, dst, ipID, payload)
+func (p *FramePool) BuildUDP(src, dst Endpoint, ipID uint16, pieces ...[]byte) ([]byte, error) {
+	n := 0
+	for _, pc := range pieces {
+		n += len(pc)
 	}
-	if len(payload) > MaxUDPPayload {
-		return nil, errTooBig(len(payload))
+	if n > MaxUDPPayload {
+		return nil, errTooBig(n)
 	}
-	f := p.get(paddedLen(len(payload)), true)
-	fillUDP(f, src, dst, ipID, payload)
+	f := p.get(paddedLen(n))
+	fillUDP(f, src, dst, ipID, n, pieces)
 	return f, nil
 }
 
 // Copy returns a copy of frame in a buffer drawn from the pool, owned by
 // the caller under the contract above: the way to put a second copy of a
 // frame on the wire (a retransmit, a replayed response), or to keep one
-// in a pool of the caller's own. The buffer is not cleared first, since
-// the copy overwrites every byte of it.
+// in a pool of the caller's own.
 //
 //lhlint:hotpath
 func (p *FramePool) Copy(frame []byte) []byte {
-	var f []byte
-	if p == nil {
-		f = make([]byte, len(frame))
-	} else {
-		f = p.get(len(frame), false)
-	}
+	f := p.get(len(frame))
 	copy(f, frame)
 	return f
 }
 
-// get pops a buffer of length n, cleared when zero is set. A miss
-// allocates exactly n bytes: frames that leave for consumers which never
-// Put (the DMA-NIC stacks drop requests) would only have their extra
-// capacity zeroed and collected. A popped buffer too small for n (a
-// smaller frame that came back) is dropped rather than retried.
+// get pops a buffer of length n with arbitrary contents: both builders
+// overwrite every byte. A miss, or a nil pool, allocates exactly n bytes:
+// frames that leave for consumers which never Put (the DMA-NIC stacks drop
+// requests) would only have their extra capacity zeroed and collected. A
+// popped buffer too small for n (a smaller frame that came back) is
+// dropped rather than retried.
 //
 //lhlint:hotpath
-func (p *FramePool) get(n int, zero bool) []byte {
+func (p *FramePool) get(n int) []byte {
+	if p == nil {
+		return make([]byte, n)
+	}
 	p.Gets++
 	if last := len(p.free) - 1; last >= 0 {
 		f := p.free[last]
@@ -92,11 +98,7 @@ func (p *FramePool) get(n int, zero bool) []byte {
 		p.free = p.free[:last]
 		if cap(f) >= n {
 			p.Hits++
-			f = f[:n]
-			if zero {
-				clear(f)
-			}
-			return f
+			return f[:n]
 		}
 	}
 	return make([]byte, n)

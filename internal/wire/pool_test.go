@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -12,31 +13,56 @@ var poolEPs = struct{ src, dst Endpoint }{
 
 // TestFramePoolByteIdentical is the pool's core contract: a frame built
 // from a recycled, garbage-filled buffer is byte-for-byte the frame a
-// fresh allocation would produce — padding and untouched header bytes
-// included.
+// fresh allocation would produce — padding and header bytes that are
+// zero included. The build does not clear the buffer, so a byte it
+// failed to write would keep the poison. The payload goes in whole, and
+// gathered from pieces the way the generators and the NIC hand over an
+// RPC header and its body.
 func TestFramePoolByteIdentical(t *testing.T) {
 	p := new(FramePool)
-	for _, payload := range [][]byte{nil, []byte("x"), bytes.Repeat([]byte{0xa5}, 300)} {
+	payloads := [][]byte{nil, []byte("x"), bytes.Repeat([]byte{0xa5}, 300), bytes.Repeat([]byte{0x3c}, 4096+24)}
+	builds := 0
+	for _, payload := range payloads {
 		want, err := BuildUDP(poolEPs.src, poolEPs.dst, 42, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Poison a buffer and recycle it through the pool.
-		dirty := bytes.Repeat([]byte{0xff}, HeadersLen+MaxUDPPayload)
-		p.Put(dirty)
-		got, err := p.BuildUDP(poolEPs.src, poolEPs.dst, 42, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("payload len %d: pooled frame differs from fresh", len(payload))
-		}
-		if &got[0] != &dirty[0] {
-			t.Fatalf("payload len %d: pool did not recycle the Put buffer", len(payload))
+		split := min(len(payload), 24)
+		for _, pieces := range [][][]byte{
+			{payload},
+			{payload[:split], payload[split:]},
+			{nil, payload[:split], nil, payload[split:]},
+		} {
+			// Poison a buffer and recycle it through the pool.
+			dirty := bytes.Repeat([]byte{0xff}, HeadersLen+MaxUDPPayload)
+			p.Put(dirty)
+			got, err := p.BuildUDP(poolEPs.src, poolEPs.dst, 42, pieces...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			builds++
+			if !bytes.Equal(got, want) {
+				t.Fatalf("payload len %d in %d pieces: pooled frame differs from fresh", len(payload), len(pieces))
+			}
+			if &got[0] != &dirty[0] {
+				t.Fatalf("payload len %d: pool did not recycle the Put buffer", len(payload))
+			}
 		}
 	}
-	if p.Gets != 3 || p.Hits != 3 || p.Puts != 3 {
-		t.Fatalf("stats gets=%d hits=%d puts=%d, want 3/3/3", p.Gets, p.Hits, p.Puts)
+	if n := uint64(builds); p.Gets != n || p.Hits != n || p.Puts != n {
+		t.Fatalf("stats gets=%d hits=%d puts=%d, want %d each", p.Gets, p.Hits, p.Puts, n)
+	}
+}
+
+// TestFramePoolGatherTooBig: the MTU check counts every piece.
+func TestFramePoolGatherTooBig(t *testing.T) {
+	p := new(FramePool)
+	_, err := p.BuildUDP(poolEPs.src, poolEPs.dst, 1, make([]byte, 24), make([]byte, MaxUDPPayload-23))
+	if !errors.Is(err, ErrPayloadTooBig) {
+		t.Fatalf("err = %v, want ErrPayloadTooBig", err)
+	}
+	if _, err := p.BuildUDP(poolEPs.src, poolEPs.dst, 1, make([]byte, 24), make([]byte, MaxUDPPayload-24)); err != nil {
+		t.Fatalf("a payload of exactly MaxUDPPayload in two pieces: %v", err)
 	}
 }
 
@@ -75,7 +101,8 @@ func TestFramePoolMissAndForeignBuffers(t *testing.T) {
 }
 
 // TestFramePoolWarmBuildZeroAlloc: once a frame's buffer circulates,
-// building from the pool and putting the frame back allocates nothing.
+// building from the pool and putting the frame back allocates nothing,
+// whole or gathered from a header on the stack and a body.
 func TestFramePoolWarmBuildZeroAlloc(t *testing.T) {
 	p := new(FramePool)
 	payload := bytes.Repeat([]byte{0x5a}, 4096)
@@ -86,6 +113,13 @@ func TestFramePoolWarmBuildZeroAlloc(t *testing.T) {
 	p.Put(f)
 	allocs := testing.AllocsPerRun(1000, func() {
 		f, err := p.BuildUDP(poolEPs.src, poolEPs.dst, 1, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Put(f)
+		var hdr [24]byte
+		hdr[0] = 0x4c
+		f, err = p.BuildUDP(poolEPs.src, poolEPs.dst, 2, hdr[:], payload[len(hdr):])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +189,8 @@ func TestFramePoolNil(t *testing.T) {
 var poolSink []byte
 
 // BenchmarkPoolBuildUDP builds a frame carrying a 4096-byte payload from
-// a warm pool and puts it back: the clear, the header writes, the
-// payload copy and both checksums, with no allocation.
+// a warm pool and puts it back: the header writes, the payload copy and
+// both checksums, with no allocation.
 func BenchmarkPoolBuildUDP(b *testing.B) {
 	p := new(FramePool)
 	payload := bytes.Repeat([]byte{0x5a}, 4096)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -271,22 +272,31 @@ func TestCorruptionDetectedProperty(t *testing.T) {
 // refSum is the two-bytes-a-step RFC 1071 loop the package summed with
 // before its word-at-a-time core, kept as the exactness reference. It
 // adds b's 16-bit words to sum, except the one at byte offset skip (-1
-// skips none), and returns the folded, complemented checksum.
+// skips none), and returns the folded, complemented checksum. The words
+// add up in 64 bits, so the reference stays exact far past the MTU (the
+// lane-budget test sums 8 MiB).
 func refSum(sum uint32, b []byte, skip int) uint16 {
+	acc := uint64(sum)
 	i := 0
 	for ; i+1 < len(b); i += 2 {
 		if i == skip {
 			continue
 		}
-		sum += uint32(binary.BigEndian.Uint16(b[i:]))
+		acc += uint64(binary.BigEndian.Uint16(b[i:]))
 	}
 	if i < len(b) {
-		sum += uint32(b[i]) << 8
+		acc += uint64(b[i]) << 8
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + sum>>16
+	for acc>>16 != 0 {
+		acc = (acc & 0xffff) + acc>>16
 	}
-	return ^uint16(sum)
+	return ^uint16(acc)
+}
+
+// wordsChecksum is Checksum through the portable word loop alone, so a
+// host whose sum takes the vector kernel still checks the loop.
+func wordsChecksum(b []byte) uint16 {
+	return ^bits.ReverseBytes16(fold(sumWords(0, b)))
 }
 
 // refUDPSum is refSum over the IPv4 pseudo-header and the UDP segment.
@@ -299,12 +309,18 @@ func refUDPSum(src, dst IP, udp []byte, skip int) uint16 {
 	return refSum(pseudo, udp, skip)
 }
 
-// checkSums compares Checksum and udpSum, with and without the
-// checksum-word skip, against the reference loops on one segment.
+// checkSums compares Checksum, the word loop alone, and udpSum with and
+// without the checksum-word skip, against the reference loops on one
+// segment. Checksum and udpSum go through sum, which takes the vector
+// kernel on an AVX2 host for segments of avx2MinLen bytes or more.
 func checkSums(t *testing.T, src, dst IP, udp []byte) {
 	t.Helper()
-	if got, want := Checksum(udp), refSum(0, udp, -1); got != want {
+	want := refSum(0, udp, -1)
+	if got := Checksum(udp); got != want {
 		t.Fatalf("len %d: Checksum = %#04x, reference %#04x", len(udp), got, want)
+	}
+	if got := wordsChecksum(udp); got != want {
+		t.Fatalf("len %d: word loop = %#04x, reference %#04x", len(udp), got, want)
 	}
 	if got, want := udpSum(src, dst, udp, false), refUDPSum(src, dst, udp, -1); got != want {
 		t.Fatalf("len %d %v->%v: udpSum = %#04x, reference %#04x", len(udp), src, dst, got, want)
@@ -336,8 +352,9 @@ var sumIPs = [][2]IP{
 	{srcEP.IP, dstEP.IP},
 }
 
-// TestSumMatchesReference: the word-at-a-time sums equal the reference
-// bit for bit, ±0 included, at every segment length up to the MTU.
+// TestSumMatchesReference: the sums (through sum's dispatch, and through
+// the word loop alone) equal the reference bit for bit, ±0 included, at
+// every segment length up to the MTU.
 func TestSumMatchesReference(t *testing.T) {
 	for _, pat := range sumPatterns() {
 		for n := 0; n <= len(pat); n++ {
@@ -348,11 +365,12 @@ func TestSumMatchesReference(t *testing.T) {
 }
 
 // FuzzUDPSum checks the sums against the reference on arbitrary segments
-// and addresses. Its seeds are the exactness test's corner cases, so a
-// plain go test replays them.
+// and addresses. Its seeds are the exactness test's corner cases, among
+// them lengths either side of avx2MinLen, so a plain go test replays them.
 func FuzzUDPSum(f *testing.F) {
 	for _, pat := range sumPatterns() {
-		for _, n := range []int{0, 1, 2, 3, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65, 1500, 4104, len(pat)} {
+		for _, n := range []int{0, 1, 2, 3, 5, 6, 7, 8, 9, 31, 32, 33, 63, 64, 65,
+			avx2MinLen - 1, avx2MinLen, avx2MinLen + 33, 1500, 4104, len(pat)} {
 			for _, ips := range sumIPs {
 				f.Add(ips[0].Uint32(), ips[1].Uint32(), pat[:n])
 			}
@@ -361,6 +379,17 @@ func FuzzUDPSum(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src, dst uint32, udp []byte) {
 		checkSums(t, IPFromUint32(src), IPFromUint32(dst), udp)
 	})
+}
+
+// TestSumLaneBudget sends 8 MiB of 0xff, the largest word values,
+// through Checksum. That is past avx2MaxLen, so only sum's chunking keeps
+// the kernel's 32-bit lanes from overflowing; a lane that wrapped would
+// drop 2^32 ≡ 1 (mod 0xffff) and change the checksum.
+func TestSumLaneBudget(t *testing.T) {
+	b := bytes.Repeat([]byte{0xff}, 8<<20)
+	if got, want := Checksum(b), refSum(0, b, -1); got != want {
+		t.Fatalf("Checksum of 8 MiB of 0xff = %#04x, reference %#04x", got, want)
+	}
 }
 
 // TestParseUDPIntoZeroAlloc pins the receive path's contract: parsing

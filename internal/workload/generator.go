@@ -91,14 +91,14 @@ type Generator struct {
 	// func value instead of the SizeDist itable. Nil means no body.
 	sizeFn []func(*sim.RNG) int
 
-	// Reused staging scratch: responses parse into rxScr/msgScr, request
-	// bodies and encodings build in bodyScr/reqScr (BuildUDP copies the
-	// payload into the frame), so the steady-state send/receive paths
-	// allocate only the frame itself.
+	// Reused staging scratch: responses parse into rxScr/msgScr. Every
+	// request body is a prefix of bodyPat, which the frame build copies
+	// straight into the frame after the header, so the steady-state
+	// send/receive paths allocate only the frame itself, and only when the
+	// pool misses.
 	rxScr   wire.Datagram
 	msgScr  rpc.Message
-	bodyScr []byte
-	reqScr  []byte
+	bodyPat []byte
 
 	// Latency is the aggregate RTT histogram (picoseconds).
 	Latency *stats.Histogram
@@ -273,20 +273,17 @@ func (g *Generator) SendTo(ti int) uint64 {
 	if size > wire.MaxUDPPayload-rpc.HeaderLen {
 		size = wire.MaxUDPPayload - rpc.HeaderLen
 	}
-	if cap(g.bodyScr) < size {
-		// Every body is a prefix of one constant pattern, so the scratch
-		// is filled once, when it grows.
-		g.bodyScr = make([]byte, size)
-		for i := range g.bodyScr {
-			g.bodyScr[i] = byte(i)
+	if len(g.bodyPat) < size {
+		// The pattern is filled once, when it grows.
+		g.bodyPat = make([]byte, size)
+		for i := range g.bodyPat {
+			g.bodyPat[i] = byte(i)
 		}
 	}
-	body := g.bodyScr[:size]
 	id := g.nextID
 	g.nextID++
-	g.reqScr = rpc.AppendMessage(g.reqScr[:0],
-		rpc.Header{Kind: rpc.KindRequest, Service: t.Service, Method: t.Method, ID: id, Flags: t.Flags}, body)
-	req := g.reqScr
+	var hdr [rpc.HeaderLen]byte
+	rpc.PutHeader(hdr[:], rpc.Header{Kind: rpc.KindRequest, Service: t.Service, Method: t.Method, ID: id, Flags: t.Flags}, size)
 	src := g.cfg.Client
 	src.Port = 10000 + uint16(int(id)%g.cfg.Flows)
 	dst := g.cfg.Server
@@ -294,7 +291,7 @@ func (g *Generator) SendTo(ti int) uint64 {
 		dst = t.Server
 	}
 	dst.Port = t.Port
-	frame, err := g.cfg.Frames.BuildUDP(src, dst, uint16(id), req)
+	frame, err := g.cfg.Frames.BuildUDP(src, dst, uint16(id), hdr[:], g.bodyPat[:size])
 	if err != nil {
 		panic(fmt.Sprintf("workload: %v", err))
 	}
