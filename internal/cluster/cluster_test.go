@@ -323,6 +323,23 @@ func TestValidateRejectsNegativeParams(t *testing.T) {
 			`cluster: client "c" Arrivals: workload: Poisson Mean 0ps must be > 0`},
 		{"poisson-negative", spec(Lauberhorn, func(sp *Spec) { sp.Clients[0].Arrivals = workload.Poisson{Mean: -5} }),
 			`cluster: client "c" Arrivals: workload: Poisson Mean -5ps must be > 0`},
+		{"uniform-size", spec(Lauberhorn, func(sp *Spec) { sp.Clients[0].Size = workload.UniformSize{Min: -10, Max: -5} }),
+			`cluster: client "c" Size: workload: UniformSize Min -10 must be >= 0`},
+		{"mixture-size", spec(Lauberhorn, func(sp *Spec) {
+			sp.Clients[0].Size = workload.NewMixtureSize("mix", []int{64, -5}, []float64{1, 1})
+		}), `cluster: client "c" Size: workload: MixtureSize "mix" size -5 must be >= 0`},
+		{"burst-period", spec(Lauberhorn, func(sp *Spec) { sp.Clients[0].Arrivals = &workload.Burst{B: 4} }),
+			`cluster: client "c" Arrivals: workload: Burst Period 0ps must be > 0`},
+		{"mmpp-zero", spec(Lauberhorn, func(sp *Spec) { sp.Clients[0].Arrivals = &workload.MMPP{} }),
+			`cluster: client "c" Arrivals: workload: MMPP CalmMean 0ps and HotMean 0ps must be > 0`},
+		{"diurnal-no-phases", spec(Lauberhorn, func(sp *Spec) { sp.Clients[0].Arrivals = &workload.Diurnal{Mean: sim.Microsecond} }),
+			`cluster: client "c" Arrivals: workload: Diurnal curve has no phases`},
+		{"diurnal-zero-dur", spec(Lauberhorn, func(sp *Spec) {
+			sp.Clients[0].Arrivals = &workload.Diurnal{Mean: sim.Microsecond, Phases: []workload.RatePhase{{Dur: sim.Millisecond, Mult: 1}, {Mult: 2}}}
+		}), `cluster: client "c" Arrivals: workload: Diurnal phase 1 needs Dur > 0 and Mult > 0, has 0ps and 2`},
+		{"diurnal-zero-mean", spec(Lauberhorn, func(sp *Spec) {
+			sp.Clients[0].Arrivals = &workload.Diurnal{Phases: []workload.RatePhase{{Dur: sim.Millisecond, Mult: 1}}}
+		}), `cluster: client "c" Arrivals: workload: Diurnal Mean 0ps must be > 0`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -337,6 +354,16 @@ func TestValidateRejectsNegativeParams(t *testing.T) {
 	for _, stack := range []Stack{Lauberhorn, Bypass} {
 		if sp := spec(stack, spineLeaf); sp.Validate() != nil {
 			t.Fatalf("%s: the unedited spec is invalid: %v", stack.Label(), sp.Validate())
+		}
+	}
+	// These run normally, so Validate accepts them.
+	for _, edit := range []func(*Spec){
+		func(sp *Spec) { sp.Clients[0].Size = workload.UniformSize{Min: 10, Max: 5} },
+		func(sp *Spec) { sp.Clients[0].Size = workload.LogNormalSize{} },
+		func(sp *Spec) { sp.Clients[0].Arrivals = &workload.Burst{Period: 250 * sim.Microsecond} },
+	} {
+		if sp := spec(Lauberhorn, edit); sp.Validate() != nil {
+			t.Fatalf("Validate() = %v, want nil for %v, %v", sp.Validate(), sp.Clients[0].Size, sp.Clients[0].Arrivals)
 		}
 	}
 }

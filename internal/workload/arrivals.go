@@ -36,16 +36,12 @@ type Diurnal struct {
 }
 
 // Next returns an exponential gap at the active phase's rate and
-// advances the curve position by that gap.
+// advances the curve position by that gap. It panics with Validate's
+// error on a curve Validate rejects.
 func (d *Diurnal) Next(r *sim.RNG) sim.Time {
-	if len(d.Phases) == 0 {
-		panic("workload: diurnal curve has no phases")
-	}
 	if !d.started {
-		for i, p := range d.Phases {
-			if p.Dur <= 0 || p.Mult <= 0 {
-				panic(fmt.Sprintf("workload: diurnal phase %d needs Dur > 0 and Mult > 0", i))
-			}
+		if err := d.Validate(); err != nil {
+			panic(err)
 		}
 		d.started = true
 		d.left = d.Phases[0].Dur
@@ -64,6 +60,24 @@ func (d *Diurnal) Next(r *sim.RNG) sim.Time {
 		d.left += d.Phases[d.pos].Dur
 	}
 	return gap
+}
+
+// Validate rejects a non-positive Mean, which Next would otherwise turn
+// into one arrival per nanosecond, a curve with no phases, and a phase
+// without a positive Dur and Mult.
+func (d *Diurnal) Validate() error {
+	if d.Mean <= 0 {
+		return fmt.Errorf("workload: Diurnal Mean %v must be > 0", d.Mean)
+	}
+	if len(d.Phases) == 0 {
+		return fmt.Errorf("workload: Diurnal curve has no phases")
+	}
+	for i, p := range d.Phases {
+		if p.Dur <= 0 || p.Mult <= 0 {
+			return fmt.Errorf("workload: Diurnal phase %d needs Dur > 0 and Mult > 0, has %v and %v", i, p.Dur, p.Mult)
+		}
+	}
+	return nil
 }
 
 // Phase returns the index of the currently active phase (for tests that

@@ -62,6 +62,15 @@ func (u UniformSize) Sample(r *sim.RNG) int {
 // String describes the distribution.
 func (u UniformSize) String() string { return fmt.Sprintf("uniform(%d-%dB)", u.Min, u.Max) }
 
+// Validate rejects a negative Min, which Sample can return. Min > Max is
+// allowed: Sample then always returns Min.
+func (u UniformSize) Validate() error {
+	if u.Min < 0 {
+		return fmt.Errorf("workload: UniformSize Min %d must be >= 0", u.Min)
+	}
+	return nil
+}
+
 // LogNormalSize draws log-normally distributed sizes clamped to
 // [Min, Max].
 type LogNormalSize struct {
@@ -140,6 +149,16 @@ func (m *MixtureSize) SampleIndex(r *sim.RNG) int {
 
 // String describes the distribution.
 func (m *MixtureSize) String() string { return m.name }
+
+// Validate rejects a negative size point.
+func (m *MixtureSize) Validate() error {
+	for _, n := range m.Sizes {
+		if n < 0 {
+			return fmt.Errorf("workload: MixtureSize %q size %d must be >= 0", m.name, n)
+		}
+	}
+	return nil
+}
 
 // CloudRPC returns the request-size mixture used by the experiments,
 // shaped after the cloud-scale RPC characterization the paper cites [23]:
@@ -250,6 +269,15 @@ func (m *MMPP) String() string {
 	return fmt.Sprintf("mmpp(calm=%v,hot=%v)", m.CalmMean, m.HotMean)
 }
 
+// Validate rejects a non-positive mean in either state, which Next would
+// otherwise turn into one arrival per nanosecond.
+func (m *MMPP) Validate() error {
+	if m.CalmMean <= 0 || m.HotMean <= 0 {
+		return fmt.Errorf("workload: MMPP CalmMean %v and HotMean %v must be > 0", m.CalmMean, m.HotMean)
+	}
+	return nil
+}
+
 // Burst emits B near-simultaneous arrivals every Period — the
 // synchronized fan-in shape incast experiments drive, where many
 // clients fire at once and collide in a receiver's queue. Within a
@@ -299,6 +327,15 @@ func (b *Burst) Next(*sim.RNG) sim.Time {
 // String describes the process.
 func (b *Burst) String() string {
 	return fmt.Sprintf("burst(%dx every %v)", b.B, b.Period)
+}
+
+// Validate rejects a non-positive Period, which Next would otherwise turn
+// into one arrival per nanosecond.
+func (b *Burst) Validate() error {
+	if b.Period <= 0 {
+		return fmt.Errorf("workload: Burst Period %v must be > 0", b.Period)
+	}
+	return nil
 }
 
 // RatePerSec converts requests/second into a Poisson process.
