@@ -379,27 +379,33 @@ func (s *Sim) maybeCompact() {
 		s.heapSiftDown(s.heap[i], i)
 	}
 	if s.ringN > 0 {
+		// Only the buckets the occupancy bitmap marks hold events. Visit
+		// them in slot order, so dead events reach the free list in the
+		// order a sweep of every slot would put them there.
 		remaining := 0
-		s.occ = [occWords]uint64{}
-		for si := range s.ring {
-			ev := s.ring[si]
-			k := ev[:0]
-			for _, e := range ev {
-				if e.fn != nil {
-					k = append(k, e)
-				} else {
-					e.index = -1
-					s.recycle(e)
+		for w := range s.occ {
+			for word := s.occ[w]; word != 0; word &= word - 1 {
+				bit := uint(bits.TrailingZeros64(word))
+				si := w<<6 | int(bit)
+				ev := s.ring[si]
+				k := ev[:0]
+				for _, e := range ev {
+					if e.fn != nil {
+						k = append(k, e)
+					} else {
+						e.index = -1
+						s.recycle(e)
+					}
 				}
+				for i := len(k); i < len(ev); i++ {
+					ev[i] = nil
+				}
+				s.ring[si] = k
+				if len(k) == 0 {
+					s.occ[w] &^= 1 << bit
+				}
+				remaining += len(k)
 			}
-			for i := len(k); i < len(ev); i++ {
-				ev[i] = nil
-			}
-			s.ring[si] = k
-			if len(k) > 0 {
-				s.occ[si>>6] |= 1 << (uint(si) & 63)
-			}
-			remaining += len(k)
 		}
 		s.ringN = remaining
 		// Filtering compacts the slice, which can break heap order; the

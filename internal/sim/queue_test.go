@@ -357,6 +357,37 @@ func TestQueueCompactionUnderRingCancels(t *testing.T) {
 	}
 }
 
+// TestCompactionClearsEmptiedBuckets: a compaction visits only the
+// buckets the occupancy bitmap marks, clears the bit of each bucket it
+// empties, keeps every other bucket's, and loses no live event.
+func TestCompactionClearsEmptiedBuckets(t *testing.T) {
+	s := New(1)
+	var fired int
+	var kill []*Event
+	for i := 0; i < 300; i++ {
+		e := s.At(Time(i)*bucketSpan, "one-per-bucket", func() { fired++ })
+		if i%3 != 0 {
+			kill = append(kill, e)
+		}
+	}
+	for _, e := range kill {
+		s.Cancel(e)
+	}
+	if s.ringN >= 300 {
+		t.Fatalf("ringN = %d after %d cancels: no compaction ran", s.ringN, len(kill))
+	}
+	for si := range s.ring {
+		set := s.occ[si>>6]>>(uint(si)&63)&1 == 1
+		if set != (len(s.ring[si]) > 0) {
+			t.Fatalf("slot %d: occupancy bit %v with %d events", si, set, len(s.ring[si]))
+		}
+	}
+	s.Run()
+	if fired != 100 {
+		t.Fatalf("fired %d, want 100", fired)
+	}
+}
+
 // sanity check for the test file itself: the constants the edge tests
 // assume.
 func TestQueueConstants(t *testing.T) {
