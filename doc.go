@@ -28,7 +28,7 @@
 // tables to a serial run, streaming results in presentation order and
 // recording per-experiment wall-clock and simulator-event counts via
 // sim.Meter. The simulator itself recycles events through a free list
-// with lazy cancellation and drains each tick as one batch, so the
+// with lazy cancellation and fires one event per loop step, so the
 // schedule->fire and schedule->cancel hot paths allocate nothing in
 // steady state (see internal/sim benchmarks), and the model layer above
 // it is flattened the same way: per-request state machines with

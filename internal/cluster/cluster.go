@@ -156,7 +156,8 @@ type ClientSpec struct {
 	Size workload.SizeDist
 	// Arrivals drives open-loop generation (may be nil if the experiment
 	// sends manually). Stateful arrival processes (e.g. *workload.MMPP)
-	// must not be shared between clients or Specs.
+	// must not be shared between clients or Specs; Validate rejects a
+	// built-in one that two clients of one Spec share.
 	Arrivals workload.ArrivalDist
 	// Popularity picks among Targets (nil = uniform).
 	Popularity *workload.Zipf
@@ -514,6 +515,17 @@ func (sp *Spec) Validate() error {
 		}
 		if err := validateDist(c.Arrivals); err != nil {
 			return fmt.Errorf("cluster: client %q Arrivals: %w", c.Name, err)
+		}
+		switch c.Arrivals.(type) {
+		case *workload.MMPP, *workload.Burst, *workload.Diurnal:
+			// These keep state between draws: two clients drawing from
+			// one would interleave their gaps, and race on two shards.
+			for j := range sp.Clients[:i] {
+				if o := &sp.Clients[j]; o.Arrivals == c.Arrivals {
+					return fmt.Errorf("cluster: clients %q and %q share one %T Arrivals; each needs its own",
+						o.Name, c.Name, c.Arrivals)
+				}
+			}
 		}
 		for _, t := range c.Targets {
 			h, ok := hostNames[t.Host]

@@ -260,15 +260,17 @@ func TestValidateAndBuildE(t *testing.T) {
 }
 
 // TestValidateRejectsNegativeParams pins the exact errors for negative
-// link parameters and service times, and for negative sizes and
-// non-positive arrival gaps. Each spec differs from a valid one in one
-// field; without the checks BuildE panicked on the bandwidth ("fabric:
-// link bandwidth must be positive"), a negative service time panicked
-// mid-run on Lauberhorn and bypass hosts ("kernel: negative Run
-// duration"), a FixedSize{N: -5} panicked ("slice bounds out of range
-// [:-5]"), a negative FixedRate interval panicked ("sim: negative
-// delay"), a zero one hung, and a Poisson mean <= 0 sent one request per
-// nanosecond.
+// link parameters and service times, for negative sizes and
+// non-positive arrival gaps, and for a stateful arrival process that two
+// clients share. Each spec differs from a valid one in one field (the
+// shared cases add a client); without the checks BuildE panicked on the
+// bandwidth ("fabric: link bandwidth must be positive"), a negative
+// service time panicked mid-run on Lauberhorn and bypass hosts ("kernel:
+// negative Run duration"), a FixedSize{N: -5} panicked ("slice bounds
+// out of range [:-5]"), a negative FixedRate interval panicked ("sim:
+// negative delay"), a zero one hung, a Poisson mean <= 0 sent one
+// request per nanosecond, and a shared *MMPP sent a different request
+// count on each sharded run.
 func TestValidateRejectsNegativeParams(t *testing.T) {
 	spec := func(stack Stack, edit func(*Spec)) Spec {
 		sp := Spec{
@@ -279,6 +281,13 @@ func TestValidateRejectsNegativeParams(t *testing.T) {
 		return sp
 	}
 	spineLeaf := func(sp *Spec) { sp.Fabric = FabricSpec{Spines: 1, LeafPorts: 2} }
+	// shared gives a second client "d" the first client's Arrivals.
+	shared := func(a workload.ArrivalDist) func(*Spec) {
+		return func(sp *Spec) {
+			sp.Clients[0].Arrivals = a
+			sp.Clients = append(sp.Clients, ClientSpec{Name: "d", Size: workload.FixedSize{N: 64}, Arrivals: a})
+		}
+	}
 	cases := []struct {
 		name string
 		sp   Spec
@@ -340,6 +349,12 @@ func TestValidateRejectsNegativeParams(t *testing.T) {
 		{"diurnal-zero-mean", spec(Lauberhorn, func(sp *Spec) {
 			sp.Clients[0].Arrivals = &workload.Diurnal{Phases: []workload.RatePhase{{Dur: sim.Millisecond, Mult: 1}}}
 		}), `cluster: client "c" Arrivals: workload: Diurnal Mean 0ps must be > 0`},
+		{"shared-mmpp", spec(Lauberhorn, shared(&workload.MMPP{CalmMean: sim.Microsecond, HotMean: sim.Microsecond})),
+			`cluster: clients "c" and "d" share one *workload.MMPP Arrivals; each needs its own`},
+		{"shared-burst", spec(Lauberhorn, shared(&workload.Burst{B: 4, Period: 250 * sim.Microsecond})),
+			`cluster: clients "c" and "d" share one *workload.Burst Arrivals; each needs its own`},
+		{"shared-diurnal", spec(Lauberhorn, shared(&workload.Diurnal{Mean: sim.Microsecond, Phases: []workload.RatePhase{{Dur: sim.Millisecond, Mult: 1}}})),
+			`cluster: clients "c" and "d" share one *workload.Diurnal Arrivals; each needs its own`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -361,6 +376,8 @@ func TestValidateRejectsNegativeParams(t *testing.T) {
 		func(sp *Spec) { sp.Clients[0].Size = workload.UniformSize{Min: 10, Max: 5} },
 		func(sp *Spec) { sp.Clients[0].Size = workload.LogNormalSize{} },
 		func(sp *Spec) { sp.Clients[0].Arrivals = &workload.Burst{Period: 250 * sim.Microsecond} },
+		// Value processes keep no state, so two clients may share one.
+		shared(workload.Poisson{Mean: sim.Microsecond}),
 	} {
 		if sp := spec(Lauberhorn, edit); sp.Validate() != nil {
 			t.Fatalf("Validate() = %v, want nil for %v, %v", sp.Validate(), sp.Clients[0].Size, sp.Clients[0].Arrivals)

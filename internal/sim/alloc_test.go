@@ -62,35 +62,31 @@ func TestScheduleCancelZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBatchTickFireZeroAlloc pins the batch-fire path: a multi-event tick
-// drained through runTick must reuse the batch buffer and the Event free
-// list — zero allocations once both are warm. This is the loop Run and
-// RunUntil sit in for the whole simulation.
-func TestBatchTickFireZeroAlloc(t *testing.T) {
-	const tickWidth = 8
+// TestRunUntilSameInstantZeroAlloc pins the loop Run and RunUntil sit in
+// for the whole simulation: instants that hold several events each must
+// fire through the Event free list, with zero allocations once it is warm.
+func TestRunUntilSameInstantZeroAlloc(t *testing.T) {
+	const perInstant = 8
 	s := New(1)
 	fired := 0
 	fn := func() { fired++ }
 	warm(s, fn)
-	// Grow the batch buffer and free list to tickWidth.
-	for i := 0; i < 2*ringSlots; i++ {
-		for j := 0; j < tickWidth; j++ {
-			s.After(bucketSpan/2, "warm", fn)
+	instant := func() {
+		at := s.Now() + bucketSpan/2
+		for j := 0; j < perInstant; j++ {
+			s.At(at, "probe", fn)
 		}
-		if !s.runTick(Never) {
-			t.Fatal("warm tick did not fire")
+		if n := s.RunUntil(at); n != perInstant {
+			t.Fatalf("RunUntil fired %d events, want %d", n, perInstant)
 		}
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		for j := 0; j < tickWidth; j++ {
-			s.After(bucketSpan/2, "probe", fn)
-		}
-		if !s.runTick(Never) {
-			t.Fatal("probe tick did not fire")
-		}
-	})
+	// Grow the free list to perInstant.
+	for i := 0; i < 2*ringSlots; i++ {
+		instant()
+	}
+	allocs := testing.AllocsPerRun(1000, instant)
 	if allocs != 0 {
-		t.Errorf("batch tick fire allocates %v per op, want 0", allocs)
+		t.Errorf("RunUntil over %d-event instants allocates %v per op, want 0", perInstant, allocs)
 	}
 	if fired == 0 {
 		t.Fatal("probe events never fired")

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestAtKeyedOrdering pins the merge-order contract the sharded executor
 // relies on: at one instant, At/After events fire first in scheduling
@@ -27,6 +30,25 @@ func TestAtKeyedOrdering(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("fire order %v, want %v", got, want)
 		}
+	}
+}
+
+// TestAtKeyedAfterCallbackEvents extends the merge-order contract to
+// events a callback schedules at the current instant: an After(0) from
+// the first plain event still fires before the keyed events already
+// queued at that instant, as (at, seq) orders it.
+func TestAtKeyedAfterCallbackEvents(t *testing.T) {
+	s := New(1)
+	var got []int
+	const at = 100 * Nanosecond
+	s.AtKeyed(at, KeyedBase|1, "k1", func() { got = append(got, 101) })
+	s.At(at, "n0", func() {
+		got = append(got, 0)
+		s.After(0, "n1", func() { got = append(got, 1) })
+	})
+	s.Run()
+	if want := []int{0, 1, 101}; !slices.Equal(got, want) {
+		t.Fatalf("fire order %v, want %v", got, want)
 	}
 }
 

@@ -42,11 +42,6 @@ const (
 	// ringIndex marks an Event resident in the bucket ring (the ring needs
 	// no positional tracking; the sentinel keeps Pending/Cancel working).
 	ringIndex = 1 << 30
-	// batchIndex marks an Event drained into the run loop's same-tick batch
-	// buffer: removed from both queue halves but not yet fired. The sentinel
-	// is non-negative so Pending stays true and a same-tick callback can
-	// still Cancel it before its turn in the batch comes.
-	batchIndex = 1 << 29
 )
 
 // eventBefore is the queue's total order: time, then scheduling sequence,
@@ -191,11 +186,12 @@ func (s *Sim) peek() *Event {
 
 // advance moves the clock to t and migrates heap events that the sliding
 // horizon now covers into the ring, restoring the ring-before-heap
-// invariant peek relies on. The empty-heap fast path inlines into Step.
+// invariant peek relies on. The empty-heap fast path inlines into fire.
 //
 //lhlint:hotpath
 func (s *Sim) advance(t Time) {
 	s.now = t
+	s.atNow = 0
 	if len(s.heap) > 0 {
 		s.migrate()
 	}

@@ -153,17 +153,32 @@ type queueChecker struct {
 	sc  int
 	ids uint64
 
-	// live mirrors the queue's live events: id -> scheduled instant.
-	live map[uint64]Time
-	// handle holds the *Event for live events only; entries leave the map
-	// before the struct can be recycled (on fire or on cancel).
-	handle map[uint64]*Event
-	// order maps id -> schedule sequence for the FIFO check (ids are
-	// assigned in schedule order, so the id doubles as the sequence).
+	// live mirrors the queue's live events in id order. Ids are assigned
+	// in schedule order, so an id doubles as the event's sequence. An
+	// entry leaves before its *Event can be recycled (on fire or on
+	// cancel). A slice, not a map, so a fuzz input takes the same path
+	// every run.
+	live    []shadowEvent
 	lastAt  Time
 	lastID  uint64
 	firedN  int
 	spawned int
+}
+
+type shadowEvent struct {
+	id uint64
+	at Time
+	e  *Event
+}
+
+// forget drops id from the shadow live-set.
+func (c *queueChecker) forget(id uint64) {
+	for i := range c.live {
+		if c.live[i].id == id {
+			c.live = append(c.live[:i], c.live[i+1:]...)
+			return
+		}
+	}
 }
 
 // delayFor biases delays toward the structure's seams: same-instant,
@@ -187,17 +202,53 @@ func (c *queueChecker) delayFor() Time {
 	}
 }
 
-// schedule registers one event on both the queue and the shadow set. The
-// callback re-checks the reference invariant and may spawn children.
-func (c *queueChecker) schedule(at Time) {
-	id := c.ids
+// newQueueChecker returns a checker over a fresh Sim whose callbacks draw
+// their decisions from an RNG seeded with seed.
+func newQueueChecker(t *testing.T, sc int, seed uint64) *queueChecker {
+	return &queueChecker{
+		t:  t,
+		s:  New(uint64(sc) + 1),
+		r:  NewRNG(seed),
+		sc: sc,
+	}
+}
+
+// schedule registers one event d from now on both the queue and the
+// shadow set, through After or At. The callback re-checks the reference
+// invariant and may spawn children and cancel live events.
+func (c *queueChecker) schedule(d Time, after bool) {
+	id, at := c.ids, c.s.Now()+d
 	c.ids++
-	c.live[id] = at
-	e := c.s.At(at, "ev", func() { c.fired(id, at) })
-	c.handle[id] = e
+	fn := func() { c.fired(id, at) }
+	var e *Event
+	if after {
+		e = c.s.After(d, "ev", fn)
+	} else {
+		e = c.s.At(at, "ev", fn)
+	}
+	c.live = append(c.live, shadowEvent{id, at, e})
 	if !e.Pending() {
 		c.t.Fatalf("scenario %d: scheduled event not Pending", c.sc)
 	}
+}
+
+// cancelLive cancels the live event at position pick (modulo the live
+// count) in firing order, on both the queue and the shadow set. Position
+// 0 is the event due to fire next.
+func (c *queueChecker) cancelLive(pick int) {
+	if len(c.live) == 0 {
+		return
+	}
+	order := append([]shadowEvent(nil), c.live...)
+	sort.SliceStable(order, func(i, j int) bool { return order[i].at < order[j].at })
+	v := order[pick%len(order)]
+	if !c.s.Cancel(v.e) {
+		c.t.Fatalf("scenario %d: Cancel returned false for live event %d", c.sc, v.id)
+	}
+	if v.e.Pending() {
+		c.t.Fatalf("scenario %d: cancelled event %d still Pending", c.sc, v.id)
+	}
+	c.forget(v.id)
 }
 
 // fired is the specification check: when id fires, no other live event may
@@ -216,12 +267,11 @@ func (c *queueChecker) fired(id uint64, at Time) {
 	}
 	c.lastAt, c.lastID = at, id
 	c.firedN++
-	delete(c.live, id)
-	delete(c.handle, id)
-	for other, oat := range c.live {
-		if oat < at || (oat == at && other < id) {
+	c.forget(id)
+	for _, o := range c.live {
+		if o.at < at || (o.at == at && o.id < id) {
 			c.t.Fatalf("scenario %d: event %d (at %v) fired while live event %d (at %v) precedes it",
-				c.sc, id, at, other, oat)
+				c.sc, id, at, o.id, o.at)
 		}
 	}
 	// Reentrant scheduling: a third of firings spawn one or two children.
@@ -229,8 +279,41 @@ func (c *queueChecker) fired(id uint64, at Time) {
 		n := 1 + c.r.Intn(2)
 		for i := 0; i < n; i++ {
 			c.spawned++
-			c.schedule(at + c.delayFor())
+			c.schedule(c.delayFor(), true)
 		}
+	}
+	// Reentrant cancellation: a quarter of firings cancel a live event,
+	// half of those the one due next, often at this same instant.
+	if len(c.live) > 0 && c.r.Intn(4) == 0 {
+		pick := 0
+		if c.r.Intn(2) == 0 {
+			pick = c.r.Intn(len(c.live))
+		}
+		c.cancelLive(pick)
+	}
+}
+
+// runUntil advances the clock to target and checks that nothing due by
+// then was left unfired.
+func (c *queueChecker) runUntil(target Time) {
+	c.s.RunUntil(target)
+	if c.s.Now() != target {
+		c.t.Fatalf("scenario %d: RunUntil(%v) left clock at %v", c.sc, target, c.s.Now())
+	}
+	if next := c.s.NextAt(); next <= target {
+		c.t.Fatalf("scenario %d: RunUntil(%v) left an event due at %v unfired", c.sc, target, next)
+	}
+}
+
+// drain runs the queue dry and checks that every live event fired, once.
+func (c *queueChecker) drain() {
+	c.s.Run()
+	c.checkAgainstShadow()
+	if len(c.live) != 0 {
+		c.t.Fatalf("scenario %d: %d events never fired", c.sc, len(c.live))
+	}
+	if got := int(c.s.Fired()); got != c.firedN {
+		c.t.Fatalf("scenario %d: Fired = %d, callbacks ran %d times", c.sc, got, c.firedN)
 	}
 }
 
@@ -238,9 +321,9 @@ func (c *queueChecker) fired(id uint64, at Time) {
 // shadow live-set.
 func (c *queueChecker) checkAgainstShadow() {
 	wantNext := Never
-	for _, at := range c.live {
-		if at < wantNext {
-			wantNext = at
+	for _, o := range c.live {
+		if o.at < wantNext {
+			wantNext = o.at
 		}
 	}
 	if got := c.s.NextAt(); got != wantNext {
@@ -261,46 +344,18 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 		scenarios = 1000
 	}
 	for sc := 0; sc < scenarios; sc++ {
-		c := &queueChecker{
-			t:      t,
-			s:      New(uint64(sc) + 1),
-			r:      NewRNG(uint64(sc)*0x9E3779B9 + 7),
-			sc:     sc,
-			live:   map[uint64]Time{},
-			handle: map[uint64]*Event{},
-		}
+		c := newQueueChecker(t, sc, uint64(sc)*0x9E3779B9+7)
 		ops := 4 + c.r.Intn(28)
 		for op := 0; op < ops; op++ {
 			switch c.r.Intn(8) {
 			case 0, 1, 2, 3: // schedule an external event
-				c.schedule(c.s.Now() + c.delayFor())
+				c.schedule(c.delayFor(), false)
 			case 4: // cancel a deterministically chosen live event
-				if len(c.handle) > 0 {
-					ids := make([]uint64, 0, len(c.handle))
-					for id := range c.handle {
-						ids = append(ids, id)
-					}
-					sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-					id := ids[c.r.Intn(len(ids))]
-					e := c.handle[id]
-					if !c.s.Cancel(e) {
-						t.Fatalf("scenario %d: Cancel returned false for live event %d", sc, id)
-					}
-					if e.Pending() {
-						t.Fatalf("scenario %d: cancelled event %d still Pending", sc, id)
-					}
-					delete(c.live, id)
-					delete(c.handle, id)
+				if len(c.live) > 0 {
+					c.cancelLive(c.r.Intn(len(c.live)))
 				}
 			case 5, 6: // advance the clock through a mixed horizon
-				target := c.s.Now() + c.delayFor()
-				c.s.RunUntil(target)
-				if c.s.Now() != target {
-					t.Fatalf("scenario %d: RunUntil(%v) left clock at %v", sc, target, c.s.Now())
-				}
-				if next := c.s.NextAt(); next <= target {
-					t.Fatalf("scenario %d: RunUntil(%v) left an event due at %v unfired", sc, target, next)
-				}
+				c.runUntil(c.s.Now() + c.delayFor())
 			case 7: // step a few events
 				for i := 0; i < 3; i++ {
 					c.s.Step()
@@ -308,15 +363,66 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 			}
 			c.checkAgainstShadow()
 		}
-		c.s.Run()
-		c.checkAgainstShadow()
-		if len(c.live) != 0 {
-			t.Fatalf("scenario %d: %d events never fired", sc, len(c.live))
-		}
-		if got := int(c.s.Fired()); got != c.firedN {
-			t.Fatalf("scenario %d: Fired = %d, callbacks ran %d times", sc, got, c.firedN)
-		}
+		c.drain()
 	}
+}
+
+// seamDelay maps a byte to a delay at one of the queue's seams: zero,
+// inside one bucket, inside the ring, the ring horizon ±2, or far beyond
+// it in the overflow heap.
+func seamDelay(b byte) Time {
+	v := Time(b / 5) // 0..51
+	switch b % 5 {
+	case 0:
+		return 0
+	case 1:
+		return v * (bucketSpan / 52)
+	case 2:
+		return v * (ringHorizon / 52)
+	case 3:
+		return ringHorizon - 2 + v%5
+	default:
+		return ringHorizon * (2 + v)
+	}
+}
+
+// FuzzQueue decodes bytes, two per call, into At, After, Cancel, Step,
+// RunUntil and RunBefore calls with delays at the queue's seams, and
+// checks every firing against the sorted-list reference. Callbacks spawn
+// and cancel events too, drawing from an RNG seeded with seed.
+func FuzzQueue(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 0, 1, 0, 0, 1, 1, 6, 0, 2, 1, 3, 0, 8, 3, 0, 2, 0, 4, 7, 5, 9})
+	f.Add(uint64(2), []byte{0, 3, 0, 8, 1, 13, 1, 18, 5, 3, 4, 8, 5, 4, 3, 0, 3, 0})
+	f.Add(uint64(3), []byte{1, 0, 1, 0, 1, 0, 2, 0, 2, 1, 3, 0, 4, 0, 0, 255, 4, 254})
+	f.Add(uint64(4), []byte{0, 4, 1, 9, 0, 2, 2, 2, 5, 254, 4, 12, 3, 0, 5, 0})
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		c := newQueueChecker(t, 0, seed)
+		for ; len(ops) >= 2; ops = ops[2:] {
+			d := seamDelay(ops[1])
+			switch ops[0] % 6 {
+			case 0:
+				c.schedule(d, false)
+			case 1:
+				c.schedule(d, true)
+			case 2:
+				c.cancelLive(int(ops[1]))
+			case 3:
+				if want := len(c.live) > 0; c.s.Step() != want {
+					t.Fatalf("Step returned %v with %d live events", !want, len(c.live))
+				}
+			case 4:
+				c.runUntil(c.s.Now() + d)
+			case 5:
+				bound := c.s.Now() + d
+				c.s.RunBefore(bound)
+				if next := c.s.NextAt(); next < bound {
+					t.Fatalf("RunBefore(%v) left an event due at %v unfired", bound, next)
+				}
+			}
+			c.checkAgainstShadow()
+		}
+		c.drain()
+	})
 }
 
 // TestQueueCompactionUnderRingCancels forces compaction while corpses sit

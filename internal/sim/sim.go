@@ -13,7 +13,7 @@ import "fmt"
 type Event struct {
 	at    Time
 	seq   uint64
-	index int // heap index; ringIndex in the ring; batchIndex while batch-resident; -1 once popped
+	index int // heap index; ringIndex in the ring; -1 once popped
 	fn    func()
 	name  string
 }
@@ -48,12 +48,12 @@ type Sim struct {
 	frontHeaped bool                 // front bucket has been organized as a mini-heap
 
 	free      []*Event // recycled Event structs, reused by At/After
-	batch     []*Event // reusable same-tick firing batch (see runTick)
 	rng       *RNG
 	live      int // queued events that have not been lazily cancelled
 	fired     uint64
 	cancelled uint64
 	recycled  uint64 // allocations avoided via the free list
+	atNow     int    // events fired since the clock last moved (see progressLimit)
 	stopped   bool
 }
 
@@ -169,14 +169,20 @@ func (s *Sim) After(d Time, name string, fn func()) *Event {
 	return s.At(s.now+d, name, fn)
 }
 
-// panicPastSchedule and panicNegativeDelay keep the fmt boxing of the
-// scheduling panics off the hot path; they never return.
+// panicPastSchedule, panicNegativeDelay and panicNoProgress keep the fmt
+// boxing of the scheduling and firing panics off the hot path; they never
+// return.
 func panicPastSchedule(name string, t, now Time) {
 	panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", name, t, now))
 }
 
 func panicNegativeDelay(name string, d Time) {
 	panic(fmt.Sprintf("sim: negative delay %v for %q", d, name))
+}
+
+func panicNoProgress(name string, now Time) {
+	panic(fmt.Sprintf("sim: %d events at %v without the clock advancing; the last was %q",
+		progressLimit, now, name))
 }
 
 // Cancel marks a pending event dead. Cancellation is lazy: the event stays
@@ -197,16 +203,27 @@ func (s *Sim) Cancel(e *Event) bool {
 	return true
 }
 
-// Step fires the earliest pending event, advancing the clock to its instant.
-// It returns false when the queue is empty or the simulation was stopped.
+// progressLimit is how many events may fire at one instant before the
+// simulator gives up on the run. A model that keeps rescheduling at the
+// current instant (a zero-gap arrival process, say) never advances the
+// clock, and would otherwise spin forever. The longest same-instant run
+// in the experiment suite is 512 events.
+const progressLimit = 1 << 20
+
+// fire pops the earliest pending event if it is due at or before bound,
+// advances the clock to its instant and runs it. It returns false when
+// nothing is due by bound or the simulation was stopped. Same-instant
+// events need nothing more: one a callback schedules with At or After
+// carries a higher seq than every queued At/After event and a lower one
+// than every keyed event, so it fires between them, in (at, seq) order.
 //
 //lhlint:hotpath
-func (s *Sim) Step() bool {
+func (s *Sim) fire(bound Time) bool {
 	if s.stopped {
 		return false
 	}
 	e := s.peek()
-	if e == nil {
+	if e == nil || e.at > bound {
 		return false
 	}
 	if e.index == ringIndex {
@@ -214,7 +231,12 @@ func (s *Sim) Step() bool {
 	} else {
 		s.heapPop()
 	}
-	s.advance(e.at)
+	if e.at != s.now {
+		s.advance(e.at)
+	}
+	if s.atNow++; s.atNow >= progressLimit {
+		panicNoProgress(e.name, s.now)
+	}
 	fn := e.fn
 	s.live--
 	s.fired++
@@ -223,72 +245,13 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// runTick drains the earliest tick — every queued event sharing the
-// earliest timestamp, in ascending seq — into the reusable batch buffer,
-// advances the clock once, and fires the batch in one loop. Draining never
-// runs callbacks, so the batch is exactly the set of same-at events that
-// existed when the tick began; anything a callback schedules at the same
-// instant carries a higher seq, re-enters the queue, and fires in a later
-// batch — the (at, seq) total order of one-at-a-time stepping, preserved
-// exactly. Batch-resident events keep a non-negative sentinel index so a
-// same-tick callback can still Cancel them; corpses are skipped (their
-// counters were adjusted at Cancel time). Returns false if no event is
-// pending at or before bound.
-//
-//lhlint:hotpath
-func (s *Sim) runTick(bound Time) bool {
-	e := s.peek()
-	if e == nil || e.at > bound {
-		return false
-	}
-	t := e.at
-	b := s.batch[:0]
-	for {
-		if e.index == ringIndex {
-			s.ringPopFront(e)
-		} else {
-			s.heapPop()
-		}
-		e.index = batchIndex
-		b = append(b, e)
-		if e = s.peek(); e == nil || e.at != t {
-			break
-		}
-	}
-	s.advance(t)
-	for i := 0; i < len(b); i++ {
-		if s.stopped {
-			// Stop() ran mid-batch: the rest has not fired. Re-queue it so
-			// the queue is left intact for inspection, as Stop documents.
-			for _, r := range b[i:] {
-				s.push(r)
-			}
-			break
-		}
-		e := b[i]
-		b[i] = nil
-		e.index = -1
-		if fn := e.fn; fn != nil {
-			s.live--
-			s.fired++
-			s.recycle(e)
-			fn()
-		} else {
-			// Cancelled while batch-resident; Cancel already accounted it.
-			s.recycle(e)
-		}
-	}
-	for i := range b {
-		b[i] = nil
-	}
-	s.batch = b[:0]
-	return true
-}
+// Step fires the earliest pending event, advancing the clock to its instant.
+// It returns false when the queue is empty or the simulation was stopped.
+func (s *Sim) Step() bool { return s.fire(Never) }
 
-// Run fires events until the queue drains or Stop is called, draining each
-// tick as one batch.
+// Run fires events until the queue drains or Stop is called.
 func (s *Sim) Run() {
-	for !s.stopped && s.runTick(Never) {
+	for s.fire(Never) {
 	}
 }
 
@@ -300,7 +263,7 @@ func (s *Sim) RunUntil(t Time) uint64 {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, s.now))
 	}
 	start := s.fired
-	for !s.stopped && s.runTick(t) {
+	for s.fire(t) {
 	}
 	if !s.stopped && s.now < t {
 		s.advance(t)
@@ -318,7 +281,7 @@ func (s *Sim) RunBefore(bound Time) uint64 {
 		return 0
 	}
 	start := s.fired
-	for !s.stopped && s.runTick(bound-1) {
+	for s.fire(bound - 1) {
 	}
 	return s.fired - start
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -206,6 +207,62 @@ func TestStop(t *testing.T) {
 	if !s.Stopped() {
 		t.Fatal("Stopped() = false after Stop")
 	}
+}
+
+// TestStopMidInstant: Stop from the first of three same-instant events
+// leaves the other two queued and unfired.
+func TestStopMidInstant(t *testing.T) {
+	s := New(1)
+	count := 0
+	for i := 0; i < 3; i++ {
+		s.At(5*Nanosecond, "e", func() {
+			count++
+			if count == 1 {
+				s.Stop()
+			}
+		})
+	}
+	s.Run()
+	if count != 1 {
+		t.Fatalf("fired %d events after Stop at 1", count)
+	}
+	if s.Pending() != 2 || s.NextAt() != 5*Nanosecond {
+		t.Fatalf("Pending = %d, NextAt = %v after Stop; want 2 at 5ns", s.Pending(), s.NextAt())
+	}
+}
+
+// TestProgressGuard: an event that reschedules itself at the current
+// instant never lets the clock advance, so the run panics once
+// progressLimit events have come due at one instant, naming the instant
+// and the event. As many events spread over distinct instants do not
+// trip it.
+func TestProgressGuard(t *testing.T) {
+	s := New(1)
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n < progressLimit {
+			s.After(Picosecond, "tick", tick)
+		}
+	}
+	s.After(0, "tick", tick)
+	s.Run()
+	at := s.Now() + 5*Nanosecond
+	var spin func()
+	spin = func() { s.After(0, "spin", spin) }
+	s.At(at, "first", func() {})
+	s.At(at, "spin", spin)
+	before := s.Fired()
+	defer func() {
+		want := fmt.Sprintf(`sim: %d events at %v without the clock advancing; the last was "spin"`, progressLimit, at)
+		if r := recover(); r != want {
+			t.Fatalf("panic = %v, want %q", r, want)
+		}
+		if got := s.Fired() - before; got != progressLimit-1 {
+			t.Fatalf("fired %d events at %v before the guard tripped, want %d", got, at, progressLimit-1)
+		}
+	}()
+	s.Run()
 }
 
 func TestSchedulePastPanics(t *testing.T) {
