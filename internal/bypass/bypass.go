@@ -75,8 +75,9 @@ type Stats struct {
 // Worker is the state of one bypass poll-loop thread. The run-to-
 // completion pipeline is flattened into prebound stage continuations: a
 // worker serves one request at a time, so the per-request fields are
-// reused across iterations and the steady state allocates only the
-// response frame (whose ownership transfers to the NIC).
+// reused across iterations. The response frame comes from the NIC's
+// frame pool and the request goes back to the NIC once answered, so the
+// steady state allocates nothing.
 type Worker struct {
 	cfg   WorkerConfig
 	stats Stats
@@ -85,7 +86,7 @@ type Worker struct {
 	tc *kernel.TC // current thread context, refreshed on (re)dispatch
 
 	// per-request state
-	d       *wire.Datagram
+	pkt     *nicdma.Packet // the request, handed back once answered
 	msg     rpc.Message
 	status  uint16
 	body    []byte
@@ -139,8 +140,8 @@ func (w *Worker) poll() {
 		tc.Yield(w.resumeFn)
 		return
 	}
-	d := w.cfg.Queue.Poll()
-	if d == nil {
+	p := w.cfg.Queue.Poll()
+	if p == nil {
 		// Park on the empty ring, burning Spin power until a packet
 		// lands, then pay the discovery cost. The wait is preemptible:
 		// if the kernel time-slices us out (services > cores), we
@@ -148,19 +149,20 @@ func (w *Worker) poll() {
 		tc.SpinWait(w.arrivalIssue, w.discovered, w.resumeFn)
 		return
 	}
-	w.serve(d)
+	w.serve(p)
 }
 
 // serve starts one request: decode, then charge receive-side processing.
 //
 //lhlint:hotpath
-func (w *Worker) serve(d *wire.Datagram) {
-	if err := rpc.DecodeInto(d.Payload, &w.msg); err != nil {
+func (w *Worker) serve(p *nicdma.Packet) {
+	w.pkt = p
+	if err := rpc.DecodeInto(p.Payload, &w.msg); err != nil {
 		w.stats.BadRPC++
+		w.release()
 		w.poll()
 		return
 	}
-	w.d = d
 	c := &w.cfg
 	work := c.Costs.RxProcess + c.Codec.Unmarshal(len(w.msg.Body)) + c.Codec.DispatchLookup
 	w.tc.RunUser(work, w.afterRx)
@@ -203,16 +205,17 @@ func (w *Worker) encode() {
 	w.tc.RunUser(tx, w.afterTx)
 }
 
-// transmit builds the response frame, hands it to the NIC, and re-enters
-// the poll loop.
+// transmit builds the response frame from the NIC's frame pool, hands it
+// to the NIC, hands the request back once OnServed has seen it, and
+// re-enters the poll loop.
 //
 //lhlint:hotpath
 func (w *Worker) transmit() {
 	c := &w.cfg
-	d := w.d
+	p := w.pkt
 	w.ipID++
-	dst := wire.Endpoint{MAC: d.Eth.Src, IP: d.IP.Src, Port: d.UDP.SrcPort}
-	frame, err := wire.BuildUDP(c.Local, dst, w.ipID, w.encScr)
+	dst := wire.Endpoint{MAC: p.Eth.Src, IP: p.IP.Src, Port: p.UDP.SrcPort}
+	frame, err := c.NIC.Pool().BuildUDP(c.Local, dst, w.ipID, w.encScr)
 	if err != nil {
 		panicTx(err)
 	}
@@ -226,7 +229,19 @@ func (w *Worker) transmit() {
 	if c.OnServed != nil {
 		c.OnServed(&w.msg)
 	}
+	w.release()
 	w.poll()
+}
+
+// release hands the request packet back to the NIC. The response was
+// encoded into the worker's scratch and OnServed has returned, so no
+// alias of the request frame survives.
+//
+//lhlint:hotpath
+func (w *Worker) release() {
+	w.cfg.NIC.Release(w.pkt)
+	w.pkt = nil
+	w.msg.Body = nil
 }
 
 // panicTx keeps the fmt boxing of the oversized-response panic off the

@@ -60,8 +60,9 @@ func newDriver(p stackdrv.HostParams) stackdrv.Instance {
 	cfg.Queues = len(p.Services)
 	cfg.SteerByPort = true
 	cfg.FilterIP = p.Endpoint.IP
-	return &driver{k: k, nic: nicdma.New(p.Sim, cfg), local: p.Endpoint,
-		cores: p.Cores, services: p.Services}
+	nic := nicdma.New(p.Sim, cfg)
+	nic.SetPool(p.Pool)
+	return &driver{k: k, nic: nic, local: p.Endpoint, cores: p.Cores, services: p.Services}
 }
 
 func (d *driver) Kernel() *kernel.Kernel              { return d.k }

@@ -149,7 +149,7 @@ func (h *Host) kickForRunnable() {
 			continue // mid-call; not reclaimable
 		}
 		if region == regionService {
-			if ep := h.NIC.endpoints[svc]; ep != nil && len(ep.queue) > 0 {
+			if ep := h.NIC.endpoints[svc]; ep != nil && ep.queue.Len() > 0 {
 				continue // busy service
 			}
 			pick = coreID
@@ -264,7 +264,7 @@ func (h *Host) reclaimCore() {
 			continue
 		}
 		ep := h.NIC.endpoints[p.svc]
-		if len(ep.queue) > 0 {
+		if ep.queue.Len() > 0 {
 			continue // busy service; don't steal
 		}
 		if len(ep.waiters) <= ep.minWorkers {
@@ -326,6 +326,12 @@ type worker struct {
 	afterServe func()
 	auxIssue   func(func())
 	yieldK     func(*kernel.TC)
+
+	// the kernel-bound exit from the user loop, bound on first use
+	leaveYield bool // leave through a yield (preemption), else a retire
+	flushFn    func()
+	leftFn     func()
+	kLoop      func()
 }
 
 // newWorker builds a core's loop state machine and binds its
@@ -440,22 +446,8 @@ func (w *worker) enterService() {
 func (w *worker) userLoop() {
 	tc := w.tc
 	if tc.Thread().PreemptPending() {
-		// Enter the kernel via a voluntary yield (the §5.2 "process can
-		// voluntarily yield the CPU by executing a system call"). The
-		// kernel first has the NIC flush any response still parked in
-		// this channel — yielding without the flush would strand it in
-		// this core's cache (see NIC.FlushChannel). Preemption is rare;
-		// this path may allocate.
 		tc.Thread().ClearPreempt()
-		//lhlint:allow hotpath preemption path, off the steady-state poll loop
-		tc.Syscall(0, func() {
-			w.h.NIC.FlushChannel(w.svc, w.coreID)
-			//lhlint:allow hotpath preemption path, off the steady-state poll loop
-			w.leaveUser(func() {
-				w.cur = 0
-				w.tc.Yield(w.yieldK)
-			})
-		})
+		w.yieldUser()
 		return
 	}
 	w.cache.Evict(svcCtrl(w.svc, w.coreID, w.cur), nil)
@@ -474,12 +466,8 @@ func (w *worker) userDone() {
 		tc.Run(h.cfg.LoopOverhead, cpu.User, w.uAgain)
 	case MarkerRetire:
 		// The NIC wants this core for a starved service: return to
-		// the kernel loop. Rare; may allocate.
-		//lhlint:allow hotpath retire is a scheduling transition, not the steady-state serve path
-		w.leaveUser(func() {
-			w.cur = 0
-			w.tc.Run(h.cfg.LoopOverhead, cpu.Kernel, w.kernelLoop)
-		})
+		// the kernel loop.
+		w.leaveUser(false)
 	case MarkerDispatch:
 		w.p = p
 		w.respAddr = svcCtrl(w.svc, w.coreID, w.cur)
@@ -490,16 +478,48 @@ func (w *worker) userDone() {
 	}
 }
 
+// yieldUser enters the kernel from the user loop via a voluntary yield
+// (the §5.2 "process can voluntarily yield the CPU by executing a system
+// call"). The kernel first has the NIC flush any response still parked
+// in this channel — yielding without the flush would strand it in this
+// core's cache (see NIC.FlushChannel).
+func (w *worker) yieldUser() {
+	if w.flushFn == nil {
+		w.flushFn = func() {
+			w.h.NIC.FlushChannel(w.svc, w.coreID)
+			w.leaveUser(true)
+		}
+	}
+	w.tc.Syscall(0, w.flushFn)
+}
+
 // leaveUser switches the worker back to the kernel's identity, charging
-// the crossing plus the scheduler push.
-func (w *worker) leaveUser(then func()) {
+// the crossing plus the scheduler push, and returns to the kernel loop on
+// line 0: through a yield when yield is set (preemption), else after one
+// loop iteration (a retire).
+func (w *worker) leaveUser(yield bool) {
 	h := w.h
-	//lhlint:allow hotpath deschedule transitions are rare; the closure carries the caller's continuation
-	w.tc.Run(h.K.Costs.AddrSpaceSwitch/2+h.cfg.SchedPushCost, cpu.Kernel, func() {
-		w.tc.Thread().SetProc(kernel.KernelProc)
-		h.NIC.SchedUpdate(w.coreID, 0)
-		then()
-	})
+	if w.leftFn == nil {
+		w.leftFn = w.enterKernel
+		w.kLoop = w.kernelLoop
+	}
+	w.leaveYield = yield
+	w.tc.Run(h.K.Costs.AddrSpaceSwitch/2+h.cfg.SchedPushCost, cpu.Kernel, w.leftFn)
+}
+
+// enterKernel completes leaveUser.
+//
+//lhlint:hotpath
+func (w *worker) enterKernel() {
+	h := w.h
+	w.tc.Thread().SetProc(kernel.KernelProc)
+	h.NIC.SchedUpdate(w.coreID, 0)
+	w.cur = 0
+	if w.leaveYield {
+		w.tc.Yield(w.yieldK)
+		return
+	}
+	w.tc.Run(h.cfg.LoopOverhead, cpu.Kernel, w.kLoop)
 }
 
 // serve executes one dispatched request (w.p): jump to the handler, stream

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lauberhorn/internal/fabric"
+	"lauberhorn/internal/fifo"
 	"lauberhorn/internal/mesi"
 	"lauberhorn/internal/rpc"
 	"lauberhorn/internal/sim"
@@ -104,7 +105,7 @@ type Endpoint struct {
 	Port    uint16 // UDP destination port the service answers on
 	methods map[uint16]methodInfo
 
-	queue []*inflight // decoded requests awaiting dispatch
+	queue fifo.Queue[*inflight] // decoded requests awaiting dispatch
 
 	// waiters are this endpoint's deferred loads, FIFO — cores stalled on
 	// the service's control lines.
@@ -480,7 +481,7 @@ func (n *NIC) SchedPushes() uint64 { return n.schedPush }
 // QueueLen returns the backlog of a service.
 func (n *NIC) QueueLen(svc uint32) int {
 	if ep, ok := n.endpoints[svc]; ok {
-		return len(ep.queue)
+		return ep.queue.Len()
 	}
 	return 0
 }
@@ -553,9 +554,8 @@ func (n *NIC) answerLoad(addr mesi.LineAddr, region int, svc uint32, coreID int,
 			respond(n.lineScr)
 			return
 		}
-		if len(ep.queue) > 0 {
-			req := ep.queue[0]
-			ep.queue = ep.queue[1:]
+		if ep.queue.Len() > 0 {
+			req := ep.queue.Pop()
 			n.stats.FastDispatch++
 			n.noteDispatch(req, false)
 			n.emit(trace.Dispatch, uint64(req.svc), uint64(coreID), "fast-queued")
@@ -603,20 +603,18 @@ func (n *NIC) oldestBacklog() (*inflight, *Endpoint) {
 	var best *Endpoint
 	var bestAt sim.Time
 	for _, ep := range n.epOrder {
-		if len(ep.queue) == 0 || len(ep.waiters) > 0 {
+		if ep.queue.Len() == 0 || len(ep.waiters) > 0 {
 			continue
 		}
-		if best == nil || ep.queue[0].arriveAt < bestAt ||
-			(ep.queue[0].arriveAt == bestAt && ep.Svc < best.Svc) {
+		if at := ep.queue.Peek().arriveAt; best == nil || at < bestAt || (at == bestAt && ep.Svc < best.Svc) {
 			best = ep
-			bestAt = ep.queue[0].arriveAt
+			bestAt = at
 		}
 	}
 	if best == nil {
 		return nil, nil
 	}
-	req := best.queue[0]
-	best.queue = best.queue[1:]
+	req := best.queue.Pop()
 	return req, best
 }
 
@@ -727,7 +725,7 @@ func panicPendingBusy(coreID int) {
 //lhlint:hotpath
 func (n *NIC) anyStarved() bool {
 	for _, ep := range n.epOrder {
-		if len(ep.queue) > 0 && len(ep.waiters) == 0 {
+		if ep.queue.Len() > 0 && len(ep.waiters) == 0 {
 			return true
 		}
 	}
@@ -1061,7 +1059,7 @@ func (n *NIC) admit(dec *decoded) {
 		return
 	}
 	// Slow path: queue on the endpoint and notify the OS in software.
-	if len(ep.queue) >= n.cfg.SvcQueueDepth {
+	if ep.queue.Len() >= n.cfg.SvcQueueDepth {
 		n.stats.RxDropped++
 		n.telemetryFor(req.svc).Dropped++
 		delete(n.inflights, req.serial)
@@ -1069,14 +1067,14 @@ func (n *NIC) admit(dec *decoded) {
 		n.freeInflight(req)
 		return
 	}
-	ep.queue = append(ep.queue, req)
+	ep.queue.Push(req)
 	n.telemetryFor(req.svc).Queued++
-	n.stats.Backlog.Record(int64(len(ep.queue)))
-	if len(ep.queue) == 1 && len(ep.waiters) == 0 && n.NotifyOS != nil {
+	n.stats.Backlog.Record(int64(ep.queue.Len()))
+	if ep.queue.Len() == 1 && len(ep.waiters) == 0 && n.NotifyOS != nil {
 		n.stats.SoftNotify++
 		n.NotifyOS(ep.Svc)
 	}
-	if n.OnBacklog != nil && len(ep.queue) == n.cfg.BacklogHighWater {
+	if n.OnBacklog != nil && ep.queue.Len() == n.cfg.BacklogHighWater {
 		n.OnBacklog(ep.Svc)
 	}
 }

@@ -112,6 +112,9 @@ type Thread struct {
 	state ThreadState
 	core  *coreCtx // non-nil while Running
 
+	// tc is the thread's one context, handed to every continuation.
+	tc TC
+
 	// resume continues the thread when it is next scheduled onto a core.
 	resume func(tc *TC)
 
@@ -133,26 +136,36 @@ type Thread struct {
 	// event: the slice state above carries the per-call parameters, so
 	// Run never allocates a closure on the hot path.
 	sliceFire func()
-	// resumeRun replays an interrupted slice on re-dispatch; like
-	// sliceFire it is bound once and parameterized through resumeDur/
-	// resumeMode/resumeThen.
+	// resumeRun replays a slice paused by preemption or an interrupt;
+	// like sliceFire it is bound once and parameterized through
+	// resumeDur/resumeMode/resumeThen.
 	resumeRun  func(tc *TC)
 	resumeDur  sim.Time
 	resumeMode cpu.State
 	resumeThen func()
+	// wakeFire is the bound callback behind every "ksched-wakeup" event.
+	wakeFire func()
 
 	stalled bool
 	// inIRQ is set while an interrupt handler borrows the thread's core;
 	// preemption is deferred for that window.
 	inIRQ bool
-	// pendingIRQ queues interrupt work that arrived while stalled.
-	pendingIRQ []func()
+	// pendingIRQ queues interrupts that arrived while stalled.
+	pendingIRQ []deferredIRQ
 
 	// spinWaiting marks a preemptible busy-poll wait (SpinWait); unlike a
 	// stalled load, the scheduler may take the core away mid-wait.
 	spinWaiting bool
 	spinToken   uint64
 	spinReenter func(tc *TC)
+	// spinFree pools the thread's SpinWait registrations.
+	spinFree []*spinRec
+
+	// popThen and popItem carry a WaitQueue delivery to popResume, the
+	// bound continuation a blocked Pop resumes through.
+	popThen   func(tc *TC, item any)
+	popItem   any
+	popResume func(tc *TC)
 
 	// waitOn (StallOn/SpinOn) state: the per-call parameters live here so
 	// the completion callback handed to the device model is the one bound
@@ -231,6 +244,9 @@ type coreCtx struct {
 	// schedule order when switch costs differ) while the steady state
 	// allocates nothing.
 	dispatchRecs []*dispatchRec
+	// irqRecs is the same kind of freelist for in-flight interrupt
+	// handlers: a core can take several before the first one finishes.
+	irqRecs []*irqRec
 }
 
 // dispatchRec is one in-flight dispatch completion: the per-event state
@@ -239,6 +255,28 @@ type dispatchRec struct {
 	c  *coreCtx
 	t  *Thread
 	fn func()
+}
+
+// irqRec is one in-flight interrupt handler on a core.
+type irqRec struct {
+	k *Kernel
+	c *coreCtx
+	// t is the thread the interrupt borrowed the core from, nil on an
+	// idle core; prev is the core state it found, and resume is set when
+	// it paused t's slice (whose remainder waits in t's resume fields).
+	t      *Thread
+	prev   cpu.State
+	resume bool
+	fn     func()
+	fire   func()
+}
+
+// deferredIRQ is an interrupt held back while its core's thread is
+// stalled; the unstall delivers it again.
+type deferredIRQ struct {
+	core int
+	cost sim.Time
+	fn   func()
 }
 
 // Stats counts kernel scheduling activity.
@@ -333,6 +371,7 @@ func (k *Kernel) Spawn(proc *Process, name string, body func(tc *TC)) *Thread {
 		proc = KernelProc
 	}
 	t := &Thread{tid: k.nextTID, name: name, proc: proc, state: Runnable, pinned: -1, resume: body}
+	t.tc = TC{k: k, t: t}
 	k.nextTID++
 	k.enqueue(t)
 	return t
@@ -348,6 +387,7 @@ func (k *Kernel) SpawnPinned(proc *Process, name string, coreID int, body func(t
 		proc = KernelProc
 	}
 	t := &Thread{tid: k.nextTID, name: name, proc: proc, state: Runnable, pinned: coreID, resume: body}
+	t.tc = TC{k: k, t: t}
 	k.nextTID++
 	k.enqueue(t)
 	return t
@@ -461,7 +501,7 @@ func (k *Kernel) dispatchDone(rec *dispatchRec) {
 	if resume == nil {
 		panic(fmt.Sprintf("kernel: thread %v has no continuation", t))
 	}
-	resume(&TC{k: k, t: t})
+	resume(&t.tc)
 }
 
 // armQuantum schedules time-slice preemption for the core.
@@ -524,17 +564,8 @@ func (k *Kernel) dequeueablePending(c *coreCtx) *Thread {
 // the next one.
 func (k *Kernel) preemptRunning(c *coreCtx, t *Thread) {
 	// Freeze the current Run slice, if any.
-	if t.sliceEv != nil {
-		k.Sim.Cancel(t.sliceEv)
-		consumed := k.Sim.Now() - t.sliceStart
-		t.runTotal += consumed
-		if t.resumeRun == nil {
-			t.resumeRun = func(tc *TC) { tc.Run(t.resumeDur, t.resumeMode, t.resumeThen) }
-		}
-		t.resumeDur = t.sliceDur - consumed
-		t.resumeMode, t.resumeThen = t.sliceMode, t.sliceThen
-		t.sliceEv, t.sliceThen = nil, nil
-		t.resume = t.resumeRun
+	if k.pauseSlice(t) {
+		t.resume = t.resumeRunFn()
 	}
 	if t.resume == nil {
 		panic(fmt.Sprintf("kernel: preempting %v with no way to resume", t))
@@ -551,6 +582,30 @@ func (k *Kernel) preemptRunning(c *coreCtx, t *Thread) {
 		k.idle(c)
 	}
 	k.armContendedQuanta()
+}
+
+// pauseSlice freezes t's running slice, if any, into t's resume fields
+// and reports whether there was one.
+func (k *Kernel) pauseSlice(t *Thread) bool {
+	if t.sliceEv == nil {
+		return false
+	}
+	k.Sim.Cancel(t.sliceEv)
+	consumed := k.Sim.Now() - t.sliceStart
+	t.runTotal += consumed
+	t.resumeDur = t.sliceDur - consumed
+	t.resumeMode, t.resumeThen = t.sliceMode, t.sliceThen
+	t.sliceEv, t.sliceThen = nil, nil
+	return true
+}
+
+// resumeRunFn returns the continuation that replays t's paused slice,
+// bound on first use.
+func (t *Thread) resumeRunFn() func(tc *TC) {
+	if t.resumeRun == nil {
+		t.resumeRun = func(tc *TC) { tc.Run(t.resumeDur, t.resumeMode, t.resumeThen) }
+	}
+	return t.resumeRun
 }
 
 // preemptSpinWaiter deschedules a thread parked in a SpinWait: the wait
@@ -595,6 +650,8 @@ func (k *Kernel) idle(c *coreCtx) {
 // Wake makes a Blocked thread runnable, charging the wakeup cost to the
 // waking context implicitly (the caller is a kernel path). If an idle core
 // exists the thread is dispatched to it after Wakeup+IPI.
+//
+//lhlint:hotpath
 func (k *Kernel) Wake(t *Thread) {
 	if t.state != Blocked {
 		return
@@ -603,12 +660,24 @@ func (k *Kernel) Wake(t *Thread) {
 	t.state = Runnable
 	k.runq = append(k.runq, t)
 	k.armContendedQuanta()
-	k.Sim.After(k.Costs.Wakeup, "ksched-wakeup", func() {
-		k.kick()
-		if t.state == Runnable && k.EnqueueHook != nil {
-			k.EnqueueHook(t)
+	k.Sim.After(k.Costs.Wakeup, "ksched-wakeup", t.wakeFn())
+}
+
+// wakeFn returns t's wakeup callback, bound on first use: kick the idle
+// cores, and tell EnqueueHook when none of them took t. A wakeup's
+// callback reads only the thread and its kernel, so wakeups in flight at
+// once share it.
+func (t *Thread) wakeFn() func() {
+	if t.wakeFire == nil {
+		k := t.tc.k
+		t.wakeFire = func() {
+			k.kick()
+			if t.state == Runnable && k.EnqueueHook != nil {
+				k.EnqueueHook(t)
+			}
 		}
-	})
+	}
+	return t.wakeFire
 }
 
 // Preempt requests that the thread give up its core. A thread running
@@ -644,57 +713,77 @@ func (k *Kernel) Preempt(t *Thread) {
 // thread is stalled, delivery is deferred until it unstalls (hardware
 // cannot take an interrupt while the load is outstanding on this fabric —
 // §5.1's reason for TryAgain).
+//
+//lhlint:hotpath
 func (k *Kernel) IRQ(coreID int, handlerCost sim.Time, fn func()) {
 	c := k.cores[coreID]
 	k.stats.IRQs++
 	t := c.current
 	if t != nil && t.stalled {
-		t.pendingIRQ = append(t.pendingIRQ, func() { k.IRQ(coreID, handlerCost, fn) })
+		t.pendingIRQ = append(t.pendingIRQ, deferredIRQ{core: coreID, cost: handlerCost, fn: fn})
 		return
 	}
 	total := k.Costs.IRQEntry + handlerCost + k.Costs.IRQExit
+	r := c.newIRQ(k)
+	r.fn = fn
 	if t == nil {
 		// Idle core: take the interrupt directly.
 		c.cpu.SetState(cpu.Kernel)
-		k.Sim.After(total, "kirq-idle", func() {
-			fn()
-			if c.current == nil {
-				c.cpu.SetState(cpu.Idle)
-				k.kick()
-			}
-		})
+		k.Sim.After(total, "kirq-idle", r.fire)
 		return
 	}
-	// Pause the current slice.
-	var resumeSlice func()
-	if t.sliceEv != nil {
-		k.Sim.Cancel(t.sliceEv)
-		consumed := k.Sim.Now() - t.sliceStart
-		remaining := t.sliceDur - consumed
-		t.runTotal += consumed
-		mode, then := t.sliceMode, t.sliceThen
-		t.sliceEv, t.sliceThen = nil, nil
-		resumeSlice = func() {
-			if c.current == t {
-				(&TC{k: k, t: t}).Run(remaining, mode, then)
-			} else {
-				t.resume = func(tc *TC) { tc.Run(remaining, mode, then) }
-			}
-		}
-	}
-	prevState := c.cpu.State()
+	r.t = t
+	r.resume = k.pauseSlice(t)
+	r.prev = c.cpu.State()
 	c.cpu.SetState(cpu.Kernel)
 	t.inIRQ = true
-	k.Sim.After(total, "kirq", func() {
-		t.inIRQ = false
+	k.Sim.After(total, "kirq", r.fire)
+}
+
+// newIRQ takes an interrupt record from the core's freelist, or makes
+// one with its callback bound.
+func (c *coreCtx) newIRQ(k *Kernel) *irqRec {
+	if n := len(c.irqRecs); n > 0 {
+		r := c.irqRecs[n-1]
+		c.irqRecs[n-1] = nil
+		c.irqRecs = c.irqRecs[:n-1]
+		return r
+	}
+	r := &irqRec{k: k, c: c}
+	r.fire = r.done
+	return r
+}
+
+// done ends an interrupt handler: fn runs, then the core goes back to
+// what the interrupt found — idle, or the thread's mode and its paused
+// slice.
+//
+//lhlint:hotpath
+func (r *irqRec) done() {
+	k, c, t, fn, prev, resume := r.k, r.c, r.t, r.fn, r.prev, r.resume
+	r.t, r.fn, r.resume = nil, nil, false
+	c.irqRecs = append(c.irqRecs, r)
+	if t == nil {
 		fn()
-		if c.current == t {
-			c.cpu.SetState(prevState)
+		if c.current == nil {
+			c.cpu.SetState(cpu.Idle)
+			k.kick()
 		}
-		if resumeSlice != nil {
-			resumeSlice()
-		}
-	})
+		return
+	}
+	t.inIRQ = false
+	fn()
+	if c.current == t {
+		c.cpu.SetState(prev)
+	}
+	if !resume {
+		return
+	}
+	if c.current == t {
+		t.tc.Run(t.resumeDur, t.resumeMode, t.resumeThen)
+	} else {
+		t.resume = t.resumeRunFn()
+	}
 }
 
 // IPI sends an inter-processor interrupt to a core and runs fn in its

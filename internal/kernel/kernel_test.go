@@ -504,6 +504,74 @@ func TestWaitQueueOverflow(t *testing.T) {
 	}
 }
 
+// TestWaitQueueConstantDepth holds a wait queue at constant depth for
+// many cycles, once with k items queued and once with k threads blocked
+// in Pop: items and waiters both leave in FIFO order, and each queue's
+// backing array stays within twice its depth instead of growing with the
+// cycle count.
+func TestWaitQueueConstantDepth(t *testing.T) {
+	const cycles = 2000
+	for _, depth := range []int{1, 3, 8, 50} {
+		s, k := newK(1)
+		q := k.NewWaitQueue("items")
+		pushed, popped := 0, 0
+		for ; pushed < depth; pushed++ {
+			q.Push(pushed)
+		}
+		k.Spawn(nil, "consumer", func(tc *TC) {
+			for i := 0; i < cycles; i++ {
+				q.Pop(tc, func(_ *TC, item any) {
+					if item.(int) != popped {
+						t.Fatalf("depth %d: popped item %d, want %d", depth, item, popped)
+					}
+					popped++
+				})
+				q.Push(pushed)
+				pushed++
+			}
+			tc.Exit()
+		})
+		s.Run()
+		if popped != cycles || q.Len() != depth {
+			t.Fatalf("depth %d: %d pops, %d left queued", depth, popped, q.Len())
+		}
+		if c := q.items.Cap(); c > 2*depth {
+			t.Errorf("depth %d: item queue cap %d, want <= %d", depth, c, 2*depth)
+		}
+
+		// k threads take turns: each Push wakes the longest waiter, which
+		// records itself and blocks again at the tail.
+		s, k = newK(1)
+		q = k.NewWaitQueue("waiters")
+		var order []int
+		for i := 0; i < depth; i++ {
+			var loop func(tc *TC)
+			loop = func(tc *TC) {
+				q.Pop(tc, func(tc2 *TC, _ any) {
+					order = append(order, i)
+					loop(tc2)
+				})
+			}
+			k.Spawn(nil, "waiter", loop)
+		}
+		for n := 1; n <= cycles; n++ {
+			s.At(sim.Time(n)*10*sim.Microsecond, "push", func() { q.Push(n) })
+		}
+		s.Run()
+		if len(order) != cycles {
+			t.Fatalf("depth %d: %d deliveries, want %d", depth, len(order), cycles)
+		}
+		for n, who := range order {
+			if who != n%depth {
+				t.Fatalf("depth %d: delivery %d went to waiter %d, want %d", depth, n, who, n%depth)
+			}
+		}
+		if c := q.waiters.Cap(); c > 2*depth {
+			t.Errorf("depth %d: waiter queue cap %d, want <= %d", depth, c, 2*depth)
+		}
+	}
+}
+
 func TestSchedHookReportsPlacement(t *testing.T) {
 	s, k := newK(2)
 	type ev struct {

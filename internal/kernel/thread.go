@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lauberhorn/internal/cpu"
+	"lauberhorn/internal/fifo"
 	"lauberhorn/internal/sim"
 )
 
@@ -158,48 +159,93 @@ func (tc *TC) SpinOn(issue func(complete func()), then func()) {
 }
 
 // SpinWait parks the thread in a preemptible busy-poll wait. issue
-// registers an asynchronous completion (e.g. RxQueue.OnArrival); while
-// waiting, the core burns Spin power but remains an ordinary preemption
-// target — a spinning process takes timer interrupts, unlike one stalled
-// on a cache fill. If the scheduler takes the core away mid-wait, the
-// registration is abandoned (a late completion is ignored) and reenter
-// runs when the thread is next scheduled, so the caller re-polls from
-// scratch.
+// registers an asynchronous completion (e.g. RxQueue.OnArrival), which it
+// or the device model invokes at most once; while waiting, the core
+// burns Spin power but remains an ordinary preemption target — a
+// spinning process takes timer interrupts, unlike one stalled on a cache
+// fill. If the scheduler takes the core away mid-wait, the registration
+// is abandoned (a late completion is ignored) and reenter runs when the
+// thread is next scheduled, so the caller re-polls from scratch.
+//
+//lhlint:hotpath
 func (tc *TC) SpinWait(issue func(complete func()), then func(), reenter func(tc2 *TC)) {
 	tc.mustBeRunning("SpinWait")
 	if reenter == nil {
 		panic("kernel: SpinWait needs a reentry continuation")
 	}
 	t := tc.t
-	c := t.core
-	completed := false
-	sync := true
+	r := t.newSpinRec()
 	t.spinToken++
-	token := t.spinToken
-	issue(func() {
-		if sync {
-			if completed {
-				panic("kernel: SpinWait completion invoked twice")
-			}
-			completed = true
-			then()
-			return
-		}
-		if t.spinToken != token || !t.spinWaiting {
-			return // stale: the wait was cancelled by preemption
-		}
-		t.spinWaiting = false
-		t.spinReenter = nil
-		c.cpu.SetState(t.sliceMode)
-		then()
-	})
-	if completed {
+	r.token = t.spinToken
+	r.then = then
+	issue(r.fire)
+	if r.done {
+		// Completed synchronously inside issue: no spin occurred.
+		t.spinFree = append(t.spinFree, r)
 		return
 	}
-	sync = false
+	r.parked = true
 	t.spinWaiting = true
 	t.spinReenter = reenter
-	c.cpu.SetState(cpu.Spin)
+	t.core.cpu.SetState(cpu.Spin)
+}
+
+// spinRec is one SpinWait registration. Its completion may still arrive
+// after the scheduler cancelled the wait, so the record carries the token
+// it was issued under, and a completion whose token is no longer the
+// thread's is ignored. The record returns to the thread's freelist once
+// its completion has run.
+type spinRec struct {
+	t      *Thread
+	token  uint64
+	then   func()
+	parked bool // issue returned before completing: the thread spins
+	done   bool
+	fire   func()
+}
+
+// newSpinRec takes a registration from t's freelist, or makes one with
+// its completion bound.
+func (t *Thread) newSpinRec() *spinRec {
+	if n := len(t.spinFree); n > 0 {
+		r := t.spinFree[n-1]
+		t.spinFree[n-1] = nil
+		t.spinFree = t.spinFree[:n-1]
+		r.parked, r.done = false, false
+		return r
+	}
+	r := &spinRec{t: t}
+	r.fire = r.complete
+	return r
+}
+
+// complete is a SpinWait's completion callback.
+//
+//lhlint:hotpath
+func (r *spinRec) complete() {
+	if r.done {
+		panic("kernel: SpinWait completion invoked twice")
+	}
+	r.done = true
+	then := r.then
+	r.then = nil
+	if !r.parked {
+		// Synchronous, inside issue; SpinWait recycles the record.
+		then()
+		return
+	}
+	t := r.t
+	stale := t.spinToken != r.token || !t.spinWaiting
+	t.spinFree = append(t.spinFree, r)
+	if stale {
+		return // the wait was cancelled by preemption
+	}
+	// A live wait still owns its core: only preemptSpinWaiter takes a
+	// spinning thread's core, and it invalidates the token.
+	t.spinWaiting = false
+	t.spinReenter = nil
+	t.core.cpu.SetState(t.sliceMode)
+	then()
 }
 
 //lhlint:hotpath
@@ -252,7 +298,7 @@ func (t *Thread) waitFinish() {
 	pending := t.pendingIRQ
 	t.pendingIRQ = nil
 	for _, irq := range pending {
-		irq()
+		t.tc.k.IRQ(irq.core, irq.cost, irq.fn)
 	}
 	then()
 }
@@ -277,8 +323,8 @@ func (tc *TC) StallFor(d sim.Time, then func()) {
 type WaitQueue struct {
 	k       *Kernel
 	name    string
-	items   []any
-	waiters []waiter
+	items   fifo.Queue[any]
+	waiters fifo.Queue[waiter]
 	// MaxDepth, when positive, bounds the queue; Push beyond it drops the
 	// item and counts it (socket buffer overflow).
 	MaxDepth int
@@ -297,48 +343,72 @@ func (k *Kernel) NewWaitQueue(name string) *WaitQueue {
 }
 
 // Len returns the number of queued items.
-func (q *WaitQueue) Len() int { return len(q.items) }
+func (q *WaitQueue) Len() int { return q.items.Len() }
 
 // MaxSeen returns the high-water mark of queued items.
 func (q *WaitQueue) MaxSeen() int { return q.maxSeen }
 
 // Push delivers an item: wakes the first waiter, or queues the item.
-// Returns false if the queue overflowed and the item was dropped.
+// Returns false if the queue overflowed and the item was dropped; the
+// caller still owns a dropped item.
+//
+//lhlint:hotpath
 func (q *WaitQueue) Push(item any) bool {
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
+	if q.waiters.Len() > 0 {
+		w := q.waiters.Pop()
 		t := w.t
-		then := w.then
-		t.resume = func(tc *TC) { then(tc, item) }
 		if t.state != Blocked {
-			panic(fmt.Sprintf("kernel: waitqueue waiter %v not blocked", t))
+			panicWaiterNotBlocked(t)
 		}
+		t.popThen, t.popItem = w.then, item
+		t.resume = t.popResumeFn()
 		q.k.Wake(t)
 		return true
 	}
-	if q.MaxDepth > 0 && len(q.items) >= q.MaxDepth {
+	if q.MaxDepth > 0 && q.items.Len() >= q.MaxDepth {
 		q.Dropped++
 		return false
 	}
-	q.items = append(q.items, item)
-	if len(q.items) > q.maxSeen {
-		q.maxSeen = len(q.items)
+	q.items.Push(item)
+	if n := q.items.Len(); n > q.maxSeen {
+		q.maxSeen = n
 	}
 	return true
 }
 
 // Pop takes the next item, blocking the thread when the queue is empty.
+//
+//lhlint:hotpath
 func (q *WaitQueue) Pop(tc *TC, then func(tc2 *TC, item any)) {
-	if len(q.items) > 0 {
-		item := q.items[0]
-		q.items = q.items[1:]
-		then(tc, item)
+	if q.items.Len() > 0 {
+		then(tc, q.items.Pop())
 		return
 	}
-	t := tc.t
-	q.waiters = append(q.waiters, waiter{t: t, then: then})
-	tc.Block(func(*TC) {
-		panic("kernel: waitqueue waiter resumed without item")
-	})
+	q.waiters.Push(waiter{t: tc.t, then: then})
+	tc.Block(resumedWithoutItem)
+}
+
+// popResumeFn returns t's WaitQueue resume continuation, bound on first
+// use: it hands the item Push delivered to the blocked Pop's callback.
+func (t *Thread) popResumeFn() func(tc *TC) {
+	if t.popResume == nil {
+		t.popResume = func(tc *TC) {
+			then, item := t.popThen, t.popItem
+			t.popThen, t.popItem = nil, nil
+			then(tc, item)
+		}
+	}
+	return t.popResume
+}
+
+// resumedWithoutItem is a blocked Pop's placeholder continuation; Push
+// replaces it before the wakeup.
+func resumedWithoutItem(*TC) {
+	panic("kernel: waitqueue waiter resumed without item")
+}
+
+// panicWaiterNotBlocked keeps the fmt boxing of the corrupt-waiter panic
+// off the Push hot path; it never returns.
+func panicWaiterNotBlocked(t *Thread) {
+	panic(fmt.Sprintf("kernel: waitqueue waiter %v not blocked", t))
 }

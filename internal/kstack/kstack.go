@@ -71,8 +71,9 @@ type Stack struct {
 
 	Local wire.Endpoint
 
-	sockets map[uint16]*Socket
-	ipID    uint16
+	sockets  map[uint16]*Socket
+	softirqs []softirq // one per NIC queue
+	ipID     uint16
 
 	// statistics
 	SoftirqPackets uint64
@@ -84,11 +85,12 @@ type Stack struct {
 // i mod NumCores.
 func New(k *kernel.Kernel, nic *nicdma.NIC, local wire.Endpoint, costs Costs) *Stack {
 	st := &Stack{K: k, NIC: nic, Costs: costs, Local: local, sockets: make(map[uint16]*Socket)}
-	for i := 0; i < nic.NumQueues(); i++ {
-		q := nic.Queue(i)
-		core := i % k.NumCores()
-		q.OnIRQ = func(q *nicdma.RxQueue) { st.softirq(core, q) }
-		q.EnableIRQ()
+	st.softirqs = make([]softirq, nic.NumQueues())
+	for i := range st.softirqs {
+		si := &st.softirqs[i]
+		si.st, si.core, si.q = st, i%k.NumCores(), nic.Queue(i)
+		si.q.OnIRQ = si.run
+		si.q.EnableIRQ()
 	}
 	return st
 }
@@ -104,44 +106,77 @@ func (st *Stack) Bind(port uint16) *Socket {
 	return s
 }
 
-// softirq drains the RX queue in interrupt context on the given core,
-// charging per-packet protocol costs, then re-enables the queue's IRQ
-// (NAPI).
-func (st *Stack) softirq(core int, q *nicdma.RxQueue) {
-	// Collect what is currently in the ring; packets arriving during the
-	// softirq will re-raise the (re-enabled) interrupt.
-	var pkts []*wire.Datagram
-	for {
-		d := q.Poll()
-		if d == nil {
-			break
-		}
-		pkts = append(pkts, d)
-	}
-	cost := sim.Time(len(pkts)) * (st.Costs.SoftirqPerPacket + st.Costs.SocketLookup + st.Costs.SocketEnqueue)
-	st.K.IRQ(core, cost, func() {
-		for _, d := range pkts {
-			st.SoftirqPackets++
-			sock, ok := st.sockets[d.UDP.DstPort]
-			if !ok {
-				st.NoSocketDrops++
-				continue
-			}
-			sock.queue.Push(d)
-		}
-		q.EnableIRQ()
-	})
+// softirq is one RX queue's NAPI context. The queue's interrupt stays
+// masked from its raise until the handler re-enables it, so a queue has
+// at most one softirq in flight, and its batch and handler callback are
+// reused from one interrupt to the next.
+type softirq struct {
+	st      *Stack
+	core    int
+	q       *nicdma.RxQueue
+	busy    bool
+	batch   []*nicdma.Packet
+	handler func()
 }
 
-// Recv blocks the calling thread until a datagram arrives on the socket,
-// then charges recvmsg syscall + copy costs and continues with the
-// datagram.
-func (s *Socket) Recv(tc *kernel.TC, then func(tc *kernel.TC, d *wire.Datagram)) {
-	s.queue.Pop(tc, func(tc *kernel.TC, item any) {
-		d := item.(*wire.Datagram)
-		cost := s.stack.Costs.RecvFixed + sim.Time(len(d.Payload))*s.stack.Costs.RecvCopyPerByte
-		tc.Syscall(cost, func() { then(tc, d) })
-	})
+// run drains the RX queue in interrupt context on the softirq's core,
+// charging per-packet protocol costs; the handler then delivers the
+// batch and re-enables the queue's IRQ (NAPI).
+//
+//lhlint:hotpath
+func (si *softirq) run(q *nicdma.RxQueue) {
+	if si.busy {
+		panic("kstack: softirq raised while its handler is in flight")
+	}
+	si.busy = true
+	// Collect what is currently in the ring; packets arriving during the
+	// softirq will re-raise the (re-enabled) interrupt.
+	batch := si.batch[:0]
+	for {
+		p := q.Poll()
+		if p == nil {
+			break
+		}
+		batch = append(batch, p)
+	}
+	si.batch = batch
+	st := si.st
+	cost := sim.Time(len(batch)) * (st.Costs.SoftirqPerPacket + st.Costs.SocketLookup + st.Costs.SocketEnqueue)
+	st.K.IRQ(si.core, cost, si.handlerFn())
+}
+
+// handlerFn returns the softirq's handler callback, bound on first use.
+func (si *softirq) handlerFn() func() {
+	if si.handler == nil {
+		si.handler = si.deliver
+	}
+	return si.handler
+}
+
+// deliver ends the softirq: each packet goes to its socket's queue. A
+// packet with no socket bound to its port, or whose socket queue is
+// full, is dropped, and the stack hands it back to the NIC.
+//
+//lhlint:hotpath
+func (si *softirq) deliver() {
+	st := si.st
+	for i, p := range si.batch {
+		si.batch[i] = nil
+		st.SoftirqPackets++
+		sock, ok := st.sockets[p.UDP.DstPort]
+		if !ok {
+			st.NoSocketDrops++
+			st.NIC.Release(p)
+			continue
+		}
+		//lhlint:allow hotpath a pointer stored in an interface is not boxed: no allocation
+		if !sock.queue.Push(p) {
+			st.NIC.Release(p)
+		}
+	}
+	si.batch = si.batch[:0]
+	si.busy = false
+	si.q.EnableIRQ()
 }
 
 // Send transmits payload to dst as a UDP datagram: sendmsg syscall costs
@@ -182,7 +217,7 @@ type server struct {
 	tc *kernel.TC // current thread context, refreshed by the Pop callback
 
 	// per-request state
-	d        *wire.Datagram
+	pkt      *nicdma.Packet // the request, handed back once answered
 	msg      rpc.Message
 	status   uint16
 	respBody []byte
@@ -217,15 +252,15 @@ func (s *server) loop() {
 	s.cfg.Socket.queue.Pop(s.tc, s.popFn)
 }
 
-// onPop charges the recvmsg syscall for the popped datagram.
+// onPop charges the recvmsg syscall for the popped packet.
 //
 //lhlint:hotpath
 func (s *server) onPop(tc *kernel.TC, item any) {
 	s.tc = tc
-	d := item.(*wire.Datagram)
-	s.d = d
+	p := item.(*nicdma.Packet)
+	s.pkt = p
 	st := s.cfg.Socket.stack
-	cost := st.Costs.RecvFixed + sim.Time(len(d.Payload))*st.Costs.RecvCopyPerByte
+	cost := st.Costs.RecvFixed + sim.Time(len(p.Payload))*st.Costs.RecvCopyPerByte
 	tc.Syscall(cost, s.received)
 }
 
@@ -233,8 +268,9 @@ func (s *server) onPop(tc *kernel.TC, item any) {
 //
 //lhlint:hotpath
 func (s *server) decode() {
-	if err := rpc.DecodeInto(s.d.Payload, &s.msg); err != nil {
+	if err := rpc.DecodeInto(s.pkt.Payload, &s.msg); err != nil {
 		// Malformed RPC: drop and continue serving.
+		s.release()
 		s.loop()
 		return
 	}
@@ -279,22 +315,26 @@ func (s *server) encode() {
 	s.tc.RunUser(cfg.Codec.Marshal(len(s.respBody)), s.afterEncode)
 }
 
-// send builds the response frame and charges the sendmsg syscall; the
-// frame's ownership transfers to the NIC at transmit.
+// send builds the response frame from the NIC's frame pool, hands the
+// request back to the NIC (the response is built from the encoding
+// scratch, so no alias of the request frame survives), and charges the
+// sendmsg syscall; the frame's ownership transfers to the NIC at
+// transmit.
 //
 //lhlint:hotpath
 func (s *server) send() {
-	d := s.d
+	p := s.pkt
 	sock := s.cfg.Socket
 	st := sock.stack
 	st.ipID++
 	src := st.Local
 	src.Port = sock.Port
-	dst := wire.Endpoint{MAC: d.Eth.Src, IP: d.IP.Src, Port: d.UDP.SrcPort}
-	frame, err := wire.BuildUDP(src, dst, st.ipID, s.encScr)
+	dst := wire.Endpoint{MAC: p.Eth.Src, IP: p.IP.Src, Port: p.UDP.SrcPort}
+	frame, err := st.NIC.Pool().BuildUDP(src, dst, st.ipID, s.encScr)
 	if err != nil {
 		panicSend(err)
 	}
+	s.release()
 	s.frame = frame
 	cost := st.Costs.SendFixed + sim.Time(len(s.encScr))*st.Costs.SendCopyPerByte + st.NIC.DoorbellCost()
 	s.tc.Syscall(cost, s.sent)
@@ -308,6 +348,15 @@ func (s *server) transmit() {
 	st.NIC.Transmit(s.frame)
 	s.frame = nil
 	s.loop()
+}
+
+// release hands the request packet back to the NIC.
+//
+//lhlint:hotpath
+func (s *server) release() {
+	s.cfg.Socket.stack.NIC.Release(s.pkt)
+	s.pkt = nil
+	s.msg.Body = nil
 }
 
 // panicSend keeps the fmt boxing of the oversized-response panic off the

@@ -167,3 +167,34 @@ func TestMultipleServersShareSocket(t *testing.T) {
 		}
 	}
 }
+
+// TestSocketDropsRecycleFrames checks that the stack hands every request
+// back to the NIC exactly once: a served request after its response is
+// built, and a packet dropped for a full socket queue or for no socket
+// bound to its port at once. Each shows up as one frame Put into the
+// NIC's pool.
+func TestSocketDropsRecycleFrames(t *testing.T) {
+	s, _, st, client, nic := multiQueueRig(t, 1)
+	pool := new(wire.FramePool)
+	nic.SetPool(pool)
+	sock := st.sockets[9000]
+	sock.queue.MaxDepth = 8
+	for i := 0; i < 100; i++ {
+		client.sendFlow(t, 20001, uint64(i+1))
+	}
+	for i := 0; i < 3; i++ {
+		client.send(t, 9999, 1, 1, uint64(1000+i), []byte("x"))
+	}
+	s.RunUntil(sim.Second)
+	if sock.queue.Dropped == 0 || st.NoSocketDrops != 3 {
+		t.Fatalf("%d socket-full drops, %d no-socket drops", sock.queue.Dropped, st.NoSocketDrops)
+	}
+	served := uint64(len(client.responses))
+	if served+sock.queue.Dropped != 100 {
+		t.Fatalf("served %d + dropped %d != 100", served, sock.queue.Dropped)
+	}
+	if want := served + sock.queue.Dropped + st.NoSocketDrops; pool.Puts != want {
+		t.Fatalf("%d frames back in the pool, want %d (%d served, %d socket-full, %d no socket)",
+			pool.Puts, want, served, sock.queue.Dropped, st.NoSocketDrops)
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"lauberhorn/internal/fabric"
+	"lauberhorn/internal/fifo"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/wire"
 )
@@ -85,13 +86,25 @@ type Stats struct {
 	IRQs        uint64
 }
 
-// RxQueue is one receive ring, after DMA: entries are frames already
+// Packet is one received frame as host software sees it: the parsed
+// datagram, whose Payload aliases the frame, and the frame buffer itself.
+// The NIC parses each frame into a recycled Packet. Whoever polls a
+// Packet from a ring owns it and hands it back with NIC.Release.
+type Packet struct {
+	wire.Datagram
+	// Frame is the received frame the datagram was parsed from.
+	Frame []byte
+	// live is set from the parse to the Release, which checks it.
+	live bool
+}
+
+// RxQueue is one receive ring, after DMA: entries are packets already
 // resident in host memory.
 type RxQueue struct {
 	id  int
 	nic *NIC
 
-	ring []*wire.Datagram
+	ring fifo.Queue[*Packet]
 
 	irqArmed  bool // driver wants interrupts
 	irqMasked bool // NAPI-style: masked until driver re-enables
@@ -101,6 +114,10 @@ type RxQueue struct {
 	// interrupt (after fabric IRQ latency). It runs in "hardware" context:
 	// implementations should bounce into kernel.IRQ.
 	OnIRQ func(q *RxQueue)
+
+	// irqFn and coalesceFn are the bound callbacks behind the IRQ and
+	// moderation-window events, bound on the first interrupt.
+	irqFn, coalesceFn func()
 
 	// arrivalWaiters are one-shot callbacks from pollers parked on an
 	// empty ring (see OnArrival).
@@ -112,43 +129,50 @@ type RxQueue struct {
 // DMA completion. Poll loops use it to avoid simulating every individual
 // empty poll iteration; the caller models the poll-discovery cost itself.
 func (q *RxQueue) OnArrival(fn func()) {
-	if len(q.ring) > 0 {
+	if q.ring.Len() > 0 {
 		fn()
 		return
 	}
 	q.arrivalWaiters = append(q.arrivalWaiters, fn)
 }
 
+// notifyArrival fires the waiters registered before it was called; a
+// waiter that registers again waits for the next arrival. The waiter
+// slice keeps its backing array.
+//
 //lhlint:hotpath
 func (q *RxQueue) notifyArrival() {
-	if len(q.arrivalWaiters) == 0 {
+	n := len(q.arrivalWaiters)
+	if n == 0 {
 		return
 	}
-	ws := q.arrivalWaiters
-	q.arrivalWaiters = nil
-	for _, w := range ws {
+	for i := 0; i < n; i++ {
+		w := q.arrivalWaiters[i]
+		q.arrivalWaiters[i] = nil
 		w()
 	}
+	ws := q.arrivalWaiters
+	rest := copy(ws, ws[n:])
+	clear(ws[rest:])
+	q.arrivalWaiters = ws[:rest]
 }
 
 // ID returns the queue index.
 func (q *RxQueue) ID() int { return q.id }
 
-// Len returns the number of frames waiting in the ring.
-func (q *RxQueue) Len() int { return len(q.ring) }
+// Len returns the number of packets waiting in the ring.
+func (q *RxQueue) Len() int { return q.ring.Len() }
 
-// Poll removes and returns the next received datagram, or nil. The caller
-// models its own polling cost; Poll itself is free (the ring is in host
-// memory).
+// Poll removes and returns the next received packet, or nil. The caller
+// owns it until it hands it back with NIC.Release. The caller models its
+// own polling cost; Poll itself is free (the ring is in host memory).
 //
 //lhlint:hotpath
-func (q *RxQueue) Poll() *wire.Datagram {
-	if len(q.ring) == 0 {
+func (q *RxQueue) Poll() *Packet {
+	if q.ring.Len() == 0 {
 		return nil
 	}
-	d := q.ring[0]
-	q.ring = q.ring[1:]
-	return d
+	return q.ring.Pop()
 }
 
 // EnableIRQ arms (or re-arms, NAPI-style) interrupts for the queue. If
@@ -156,7 +180,7 @@ func (q *RxQueue) Poll() *wire.Datagram {
 func (q *RxQueue) EnableIRQ() {
 	q.irqArmed = true
 	q.irqMasked = false
-	if len(q.ring) > 0 {
+	if q.ring.Len() > 0 {
 		q.raiseIRQ()
 	}
 }
@@ -167,27 +191,37 @@ func (q *RxQueue) DisableIRQ() {
 	q.irqMasked = false
 }
 
+//lhlint:hotpath
 func (q *RxQueue) raiseIRQ() {
 	if !q.irqArmed || q.irqMasked || q.OnIRQ == nil {
 		return
 	}
+	q.bindIRQ()
 	n := q.nic
 	if n.cfg.IRQCoalesce > 0 && n.sim.Now()-q.lastIRQ < n.cfg.IRQCoalesce && q.lastIRQ > 0 {
 		// Within the moderation window: defer to the window's end.
-		fireAt := q.lastIRQ + n.cfg.IRQCoalesce
 		q.irqMasked = true
-		n.sim.At(fireAt, "nicdma-coalesced-irq", func() {
-			q.irqMasked = false
-			if len(q.ring) > 0 {
-				q.raiseIRQ()
-			}
-		})
+		n.sim.At(q.lastIRQ+n.cfg.IRQCoalesce, "nicdma-coalesced-irq", q.coalesceFn)
 		return
 	}
 	q.irqMasked = true // masked until driver EnableIRQ (NAPI)
 	q.lastIRQ = n.sim.Now()
 	n.stats.IRQs++
-	n.sim.After(n.cfg.Fabric.IRQLatency, "nicdma-irq", func() { q.OnIRQ(q) })
+	n.sim.After(n.cfg.Fabric.IRQLatency, "nicdma-irq", q.irqFn)
+}
+
+// bindIRQ binds the queue's interrupt callbacks on first use.
+func (q *RxQueue) bindIRQ() {
+	if q.irqFn != nil {
+		return
+	}
+	q.irqFn = func() { q.OnIRQ(q) }
+	q.coalesceFn = func() {
+		q.irqMasked = false
+		if q.ring.Len() > 0 {
+			q.raiseIRQ()
+		}
+	}
 }
 
 // rxPend is one frame's in-flight receive state: it rides through both
@@ -196,8 +230,7 @@ func (q *RxQueue) raiseIRQ() {
 // when the frame is delivered or dropped.
 type rxPend struct {
 	n     *NIC
-	frame []byte
-	d     *wire.Datagram
+	pkt   *Packet
 	q     *RxQueue
 	stage int // 1 = processing, 2 = DMA
 	fire  func()
@@ -217,12 +250,16 @@ type NIC struct {
 	// txq stages frames awaiting their TX-done event oldest-first: TX DMA
 	// completion times strictly increase, so head-pop order matches event
 	// order and one prebound callback replaces a per-frame closure.
-	txq    [][]byte
-	txHead int
-	txFn   func()
+	txq  fifo.Queue[[]byte]
+	txFn func()
 	// rxFree pools rxPend entries so the two-hop receive path allocates
 	// only on depth high-water marks.
 	rxFree []*rxPend
+	// pktFree pools the packets Release hands back.
+	pktFree []*Packet
+	// pool, when non-nil (cluster-built hosts), recycles frame buffers:
+	// the NIC is the terminal consumer of every frame it receives.
+	pool *wire.FramePool
 }
 
 // New creates a NIC attached to nothing; call AttachLink before
@@ -263,6 +300,49 @@ func (n *NIC) NumQueues() int { return len(n.qs) }
 // Stats returns a snapshot of the counters.
 func (n *NIC) Stats() Stats { return n.stats }
 
+// SetPool arms frame recycling with the frame pool of the NIC's Sim
+// (see wire.FramePool's ownership contract): Release and every receive
+// drop Put the frame there. The stacks over the NIC build their frames
+// from Pool. Without it frames are plain allocations.
+func (n *NIC) SetPool(p *wire.FramePool) { n.pool = p }
+
+// Pool returns the frame pool armed with SetPool, or nil.
+func (n *NIC) Pool() *wire.FramePool { return n.pool }
+
+// Release hands back a packet polled from a ring: its frame goes to the
+// NIC's frame pool and the packet to the NIC's free list. The caller is
+// the frame's terminal consumer and calls Release exactly once per
+// packet, once every alias it took of the frame (the datagram's Payload,
+// a decoded RPC body) is dead.
+//
+//lhlint:hotpath
+func (n *NIC) Release(p *Packet) {
+	if !p.live {
+		panic("nicdma: packet released twice")
+	}
+	p.live = false
+	n.pool.Put(p.Frame)
+	p.Frame, p.Payload = nil, nil
+	n.pktFree = append(n.pktFree, p)
+}
+
+// newPacket takes a packet from the free list for frame.
+//
+//lhlint:hotpath
+func (n *NIC) newPacket(frame []byte) *Packet {
+	var p *Packet
+	if last := len(n.pktFree) - 1; last >= 0 {
+		p = n.pktFree[last]
+		n.pktFree[last] = nil
+		n.pktFree = n.pktFree[:last]
+	} else {
+		p = new(Packet)
+	}
+	p.Frame = frame
+	p.live = true
+	return p
+}
+
 // DeliverFrame implements fabric.FramePort: a frame has arrived from the
 // wire. The NIC parses it (for RSS and checksum offload), selects a queue,
 // DMAs payload + completion, and possibly raises an interrupt.
@@ -278,7 +358,7 @@ func (n *NIC) DeliverFrame(frame []byte) {
 		//lhlint:allow hotpath bound once per pooled entry; reused for every frame that rides it
 		p.fire = func() { p.step() }
 	}
-	p.frame = frame
+	p.pkt = n.newPacket(frame)
 	p.stage = 1
 	n.sim.After(n.cfg.NICProcess, "nicdma-rx-process", p.fire)
 }
@@ -293,54 +373,61 @@ func (p *rxPend) step() {
 	n := p.n
 	switch p.stage {
 	case 1:
-		d, err := wire.ParseUDP(p.frame)
-		if err != nil {
+		pkt := p.pkt
+		if wire.ParseUDPInto(pkt.Frame, &pkt.Datagram) != nil {
 			n.stats.RxBadFrames++
-			p.release()
+			p.drop()
 			return
 		}
-		if n.cfg.FilterIP != (wire.IP{}) && d.IP.Dst != n.cfg.FilterIP {
+		if n.cfg.FilterIP != (wire.IP{}) && pkt.IP.Dst != n.cfg.FilterIP {
 			n.stats.RxFiltered++
-			p.release()
+			p.drop()
 			return
 		}
 		if n.cfg.SteerByPort {
-			p.q = n.qs[int(d.UDP.DstPort)%len(n.qs)]
+			p.q = n.qs[int(pkt.UDP.DstPort)%len(n.qs)]
 		} else {
-			p.q = n.qs[int(d.Flow.Hash())%len(n.qs)]
+			p.q = n.qs[int(pkt.Flow.Hash())%len(n.qs)]
 		}
-		if len(p.q.ring) >= n.cfg.RingSize {
+		if p.q.ring.Len() >= n.cfg.RingSize {
 			n.stats.RxDropped++
-			p.release()
+			p.drop()
 			return
 		}
 		// DMA payload into a host buffer, then write the completion
 		// descriptor. Both must be visible before the packet "exists"
 		// for software.
-		p.d = d
 		p.stage = 2
-		dma := n.cfg.Fabric.DMATransfer(len(p.frame)) + n.cfg.Fabric.DMAWrite
+		dma := n.cfg.Fabric.DMATransfer(len(pkt.Frame)) + n.cfg.Fabric.DMAWrite
 		n.sim.After(dma, "nicdma-rx-dma", p.fire)
 	case 2:
-		q, d := p.q, p.d
+		q, pkt := p.q, p.pkt
 		p.release()
-		if len(q.ring) >= n.cfg.RingSize {
+		if q.ring.Len() >= n.cfg.RingSize {
 			n.stats.RxDropped++
+			n.Release(pkt)
 			return
 		}
-		q.ring = append(q.ring, d)
+		q.ring.Push(pkt)
 		n.stats.RxFrames++
 		q.raiseIRQ()
 		q.notifyArrival()
 	}
 }
 
+// drop releases a frame the NIC discards on receipt, then the entry.
+//
+//lhlint:hotpath
+func (p *rxPend) drop() {
+	p.n.Release(p.pkt)
+	p.release()
+}
+
 // release returns the entry to the NIC's free list.
 //
 //lhlint:hotpath
 func (p *rxPend) release() {
-	p.frame = nil
-	p.d = nil
+	p.pkt = nil
 	p.q = nil
 	p.stage = 0
 	p.n.rxFree = append(p.n.rxFree, p)
@@ -360,6 +447,7 @@ func (n *NIC) Transmit(frame []byte) {
 		// The driver's carrier check (netif_carrier_ok): a frame offered
 		// toward a downed link is dropped before any DMA is spent on it.
 		n.stats.TxNoCarrier++
+		n.pool.Put(frame)
 		return
 	}
 	// Serialize the TX DMA engine.
@@ -374,7 +462,7 @@ func (n *NIC) Transmit(frame []byte) {
 	n.txBusy = done
 	// Completion times strictly increase (each starts no earlier than the
 	// previous done), so head-pop order matches event order.
-	n.txq = append(n.txq, frame)
+	n.txq.Push(frame)
 	n.sim.At(done, "nicdma-tx", n.txFn)
 }
 
@@ -383,17 +471,7 @@ func (n *NIC) Transmit(frame []byte) {
 //
 //lhlint:hotpath
 func (n *NIC) txDone() {
-	q := n.txq
-	h := n.txHead
-	frame := q[h]
-	q[h] = nil
-	h++
-	if h == len(q) {
-		n.txq = q[:0]
-		n.txHead = 0
-	} else {
-		n.txHead = h
-	}
+	frame := n.txq.Pop()
 	n.stats.TxFrames++
 	n.link.Send(n.side, frame)
 }

@@ -364,3 +364,86 @@ func TestFilterIPDropsForeignFrames(t *testing.T) {
 		t.Fatal("unfiltered NIC dropped a frame")
 	}
 }
+
+// TestRingConstantDepth holds an RX ring at constant depth k for many
+// poll/arrive cycles: packets leave in arrival order, and the ring's
+// backing array stays within twice the depth.
+func TestRingConstantDepth(t *testing.T) {
+	const cycles = 1000
+	for _, depth := range []int{1, 4, 16} {
+		s := sim.New(1)
+		n := New(s, DefaultConfig())
+		q := n.Queue(0)
+		seq := func(i int) []byte { return []byte{byte(i >> 8), byte(i)} }
+		sent, got := 0, 0
+		for ; sent < depth; sent++ {
+			n.DeliverFrame(frame(t, seq(sent), 1))
+		}
+		s.Run()
+		for i := 0; i < cycles; i++ {
+			p := q.Poll()
+			if p == nil || string(p.Payload) != string(seq(got)) {
+				t.Fatalf("depth %d: polled %v, want packet %d", depth, p, got)
+			}
+			got++
+			n.Release(p)
+			n.DeliverFrame(frame(t, seq(sent), 1))
+			sent++
+			s.Run()
+			if q.Len() != depth {
+				t.Fatalf("depth %d: ring holds %d", depth, q.Len())
+			}
+		}
+		if c := q.ring.Cap(); c > 2*depth {
+			t.Errorf("depth %d: ring cap %d, want <= %d", depth, c, 2*depth)
+		}
+	}
+}
+
+// TestReceiveDropsRecycleFrames checks that every frame the NIC drops on
+// receipt (unparseable, not addressed to it, ring full) goes back to the
+// frame pool once, as does every packet released after a poll, and that
+// a packet cannot be released twice.
+func TestReceiveDropsRecycleFrames(t *testing.T) {
+	s := sim.New(1)
+	cfg := DefaultConfig()
+	cfg.RingSize = 2
+	cfg.FilterIP = dst.IP
+	n := New(s, cfg)
+	pool := new(wire.FramePool)
+	n.SetPool(pool)
+
+	bad := frame(t, []byte("x"), 1)
+	bad[20] ^= 0xff
+	n.DeliverFrame(bad)
+	foreign, err := wire.BuildUDP(src, wire.Endpoint{MAC: dst.MAC, IP: wire.IP{10, 0, 0, 99}, Port: 2222}, 1, []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.DeliverFrame(foreign)
+	for i := 0; i < 5; i++ {
+		n.DeliverFrame(frame(t, []byte("x"), 1))
+	}
+	s.Run()
+	st := n.Stats()
+	drops := st.RxBadFrames + st.RxFiltered + st.RxDropped
+	if st.RxBadFrames != 1 || st.RxFiltered != 1 || st.RxDropped != 3 {
+		t.Fatalf("stats %+v", st)
+	}
+	if pool.Puts != drops {
+		t.Fatalf("%d frames back in the pool after %d drops", pool.Puts, drops)
+	}
+	q := n.Queue(0)
+	for p := q.Poll(); p != nil; p = q.Poll() {
+		n.Release(p)
+		if p.Frame != nil || p.Payload != nil {
+			t.Fatal("released packet still aliases its frame")
+		}
+		if catchPanic(func() { n.Release(p) }) == "" {
+			t.Fatal("second Release of a packet did not panic")
+		}
+	}
+	if pool.Puts != drops+2 {
+		t.Fatalf("%d frames back in the pool, want %d", pool.Puts, drops+2)
+	}
+}

@@ -81,10 +81,10 @@ func (p *FramePool) Copy(frame []byte) []byte {
 
 // get pops a buffer of length n with arbitrary contents: both builders
 // overwrite every byte. A miss, or a nil pool, allocates exactly n bytes:
-// frames that leave for consumers which never Put (the DMA-NIC stacks drop
-// requests) would only have their extra capacity zeroed and collected. A
-// popped buffer too small for n (a smaller frame that came back) is
-// dropped rather than retried.
+// frames that leave for consumers which never Put (a switch or an
+// inter-switch link that drops them) would only have their extra
+// capacity zeroed and collected. A popped buffer too small for n (a
+// smaller frame that came back) is dropped rather than retried.
 //
 //lhlint:hotpath
 func (p *FramePool) get(n int) []byte {
