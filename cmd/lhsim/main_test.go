@@ -20,8 +20,10 @@ func maskWall(s string) string {
 }
 
 // TestGolden pins lhsim's full report, wall clock masked, for one host of
-// each of two stacks and for two cluster runs (transport through a flap,
-// and sharded). A golden is regenerated with
+// each of two stacks, for the Lauberhorn NIC's per-service telemetry
+// report (eight services whose requests take the fast, kernel, queued and
+// retire paths), and for two cluster runs (transport through a flap, and
+// sharded). A golden is regenerated with
 //
 //	go run ./cmd/lhsim -dur 5ms -warm 1ms <flags> |
 //	  sed -E 's/ in [^ ]+ — [^ ]+M events\/sec/ in WALL — RATEM events\/sec/' > cmd/lhsim/testdata/<name>.golden
@@ -31,6 +33,7 @@ func TestGolden(t *testing.T) {
 		flags []string
 	}{
 		{"lauberhorn", nil},
+		{"lauberhorn-telemetry", []string{"-telemetry", "-zipf", "1.1", "-services", "8"}},
 		{"bypass-zipf", []string{"-stack", "bypass", "-zipf", "1.1", "-services", "8"}},
 		{"hosts4-retry-flap", []string{"-hosts", "4", "-transport", "retry", "-flap"}},
 		{"hosts16-shards4", []string{"-hosts", "16", "-shards", "4"}},

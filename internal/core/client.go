@@ -110,7 +110,7 @@ func (n *NIC) answerClientLoad(addr mesi.LineAddr, ch *clientChanNIC, coreID int
 		respond(line)
 		return
 	}
-	n.defer_(addr, coreID, 0, false, respond)
+	n.defer_(addr, coreID, nil, false, respond)
 }
 
 // transmitClientReq builds and sends an outbound request frame.

@@ -63,23 +63,50 @@ type Host struct {
 	K   *kernel.Kernel
 	NIC *NIC
 
-	cfg      HostConfig
-	caches   []*mesi.Cache
-	registry *rpc.Registry
-	procs    map[uint32]*kernel.Process
-	workers  []*kernel.Thread
+	cfg    HostConfig
+	caches []*mesi.Cache
+	// svcs holds each registered service's host-side state.
+	svcs    map[uint32]*hostService
+	workers []*kernel.Thread
 
-	// Served counts completed requests per service.
-	served map[uint32]uint64
 	// OnServed observes every served request (svc, rpc ID) just after
 	// the response line is handed to the NIC.
 	OnServed func(svc uint32, rpcID uint64)
 
-	// async overrides methods with suspending handlers (nested RPC).
-	async map[uint64]AsyncHandler
 	// clientChans are the lazily-allocated per-core outbound channels.
 	clientChans    map[int]*ClientChan
 	nextCallSerial uint64
+}
+
+// hostService is the host side of one registered service: its
+// descriptor, process, suspending handlers and served count. A worker
+// resolves it once per service switch, so serving a request in the
+// user loop looks nothing up by service ID.
+type hostService struct {
+	desc *rpc.ServiceDesc
+	proc *kernel.Process
+	// async overrides methods with suspending handlers (nested RPC).
+	async []asyncMethod
+	// served counts completed requests.
+	served uint64
+}
+
+// asyncMethod binds a suspending handler to one method.
+type asyncMethod struct {
+	method uint16
+	fn     AsyncHandler
+}
+
+// asyncFor returns the suspending handler for method, or nil.
+//
+//lhlint:hotpath
+func (hs *hostService) asyncFor(method uint16) AsyncHandler {
+	for i := range hs.async {
+		if hs.async[i].method == method {
+			return hs.async[i].fn
+		}
+	}
+	return nil
 }
 
 // AsyncHandler is a suspending request handler: it may consume CPU via tc
@@ -105,10 +132,7 @@ func NewHost(s *sim.Sim, cfg HostConfig) *Host {
 		K:           k,
 		NIC:         n,
 		cfg:         cfg,
-		registry:    rpc.NewRegistry(),
-		procs:       make(map[uint32]*kernel.Process),
-		served:      make(map[uint32]uint64),
-		async:       make(map[uint64]AsyncHandler),
+		svcs:        make(map[uint32]*hostService),
 		clientChans: make(map[int]*ClientChan),
 	}
 	for i := 0; i < cfg.Cores; i++ {
@@ -144,12 +168,12 @@ func (h *Host) kickForRunnable() {
 		if p == nil {
 			continue
 		}
-		region, svc, _, _ := splitAddr(p.addr)
+		region, _, _, _ := splitAddr(p.addr)
 		if region == regionClient {
 			continue // mid-call; not reclaimable
 		}
 		if region == regionService {
-			if ep := h.NIC.endpoints[svc]; ep != nil && ep.queue.Len() > 0 {
+			if p.ep.queue.Len() > 0 {
 				continue // busy service
 			}
 			pick = coreID
@@ -170,19 +194,23 @@ func (h *Host) kickForRunnable() {
 // Config returns the host configuration.
 func (h *Host) Config() HostConfig { return h.cfg }
 
-// Registry returns the host's RPC service registry.
-func (h *Host) Registry() *rpc.Registry { return h.registry }
-
 // Served returns completed requests for a service.
-func (h *Host) Served(svc uint32) uint64 { return h.served[svc] }
+func (h *Host) Served(svc uint32) uint64 {
+	if hs := h.svcs[svc]; hs != nil {
+		return hs.served
+	}
+	return 0
+}
 
-// RegisterService installs a service: an OS process, registry entry, and
-// the NIC endpoint (code/data pointers, demux key — the OS state the
-// paper shares with the NIC).
+// RegisterService installs a service: an OS process, the host's service
+// record, and the NIC endpoint (code/data pointers, demux key — the OS
+// state the paper shares with the NIC).
 func (h *Host) RegisterService(desc *rpc.ServiceDesc, port uint16, minWorkers int) *Endpoint {
-	h.registry.Register(desc)
+	if h.svcs[desc.ID] != nil {
+		panic(fmt.Sprintf("core: service %d already registered", desc.ID))
+	}
 	proc := h.K.NewProcess(desc.Name)
-	h.procs[desc.ID] = proc
+	h.svcs[desc.ID] = &hostService{desc: desc, proc: proc}
 	return h.NIC.RegisterService(desc, proc.PID, port, minWorkers)
 }
 
@@ -206,12 +234,22 @@ func (h *Host) Worker(coreID int) *kernel.Thread { return h.workers[coreID] }
 
 // SetAsyncHandler replaces svc/method's plain handler with a suspending
 // one that may issue nested RPCs before responding (§6: nested RPCs with
-// a dedicated reply endpoint).
+// a dedicated reply endpoint). The service must be registered.
 func (h *Host) SetAsyncHandler(svc uint32, method uint16, fn AsyncHandler) {
 	if fn == nil {
 		panic("core: nil async handler")
 	}
-	h.async[uint64(svc)<<16|uint64(method)] = fn
+	hs := h.svcs[svc]
+	if hs == nil {
+		panicUnknownService("async handler for", svc)
+	}
+	for i := range hs.async {
+		if hs.async[i].method == method {
+			hs.async[i].fn = fn
+			return
+		}
+	}
+	hs.async = append(hs.async, asyncMethod{method: method, fn: fn})
 }
 
 // SetSoftwareCodec enables the "minus NIC decode" ablation: the host pays
@@ -263,7 +301,7 @@ func (h *Host) reclaimCore() {
 			// reclaimable idle poller.
 			continue
 		}
-		ep := h.NIC.endpoints[p.svc]
+		ep := p.ep
 		if ep.queue.Len() > 0 {
 			continue // busy service; don't steal
 		}
@@ -289,8 +327,9 @@ type worker struct {
 	cache  *mesi.Cache
 
 	// loop position
-	svc uint32 // service whose user loop the core runs
-	cur int    // control-line index (0/1) the next poll loads
+	svc uint32       // service whose user loop the core runs
+	hs  *hostService // its host-side state, resolved at the switch
+	cur int          // control-line index (0/1) the next poll loads
 
 	// per-iteration state
 	line []byte // last control line filled by the NIC
@@ -413,10 +452,12 @@ func (w *worker) kernelDone() {
 	case MarkerKDispatch:
 		// Switch into the service's process and serve the request;
 		// afterwards the core stays in the process's user loop.
-		if h.procs[p.Svc] == nil {
+		hs := h.svcs[p.Svc]
+		if hs == nil {
 			panicUnknownService("KDispatch for", p.Svc)
 		}
 		w.p = p
+		w.hs = hs
 		cost := h.K.Costs.AddrSpaceSwitch + h.cfg.SchedPushCost
 		tc.Run(cost, cpu.Kernel, w.kEnter)
 	default:
@@ -430,7 +471,7 @@ func (w *worker) kernelDone() {
 // user loop on line 1.
 func (w *worker) enterService() {
 	h := w.h
-	proc := h.procs[w.p.Svc]
+	proc := w.hs.proc
 	w.tc.Thread().SetProc(proc)
 	h.NIC.SchedUpdate(w.coreID, proc.PID)
 	w.svc = w.p.Svc
@@ -530,11 +571,10 @@ func (w *worker) enterKernel() {
 func (w *worker) serve() {
 	h := w.h
 	p := &w.p
-	svcDesc := h.registry.Lookup(p.Svc)
-	if svcDesc == nil {
+	if w.hs.desc.ID != p.Svc {
 		panicUnknownService("dispatched", p.Svc)
 	}
-	m := svcDesc.Method(p.Method)
+	m := w.hs.desc.Method(p.Method)
 	if m == nil {
 		panicUnknownMethod(p.Method)
 	}
@@ -547,9 +587,9 @@ func (w *worker) serve() {
 	w.auxStall = 0
 	switch {
 	case p.Buf:
-		w.body = h.NIC.DMABody(p.Serial)
+		w.body = h.NIC.DMABody(w.coreID, p.Serial)
 	case p.BodyLen > len(p.Inline):
-		w.bodyScr = append(append(w.bodyScr[:0], p.Inline...), h.NIC.AuxBody(p.Serial)...)
+		w.bodyScr = append(append(w.bodyScr[:0], p.Inline...), h.NIC.AuxBody(w.coreID, p.Serial)...)
 		w.body = w.bodyScr
 		w.auxStall = sim.Time(h.NIC.AuxLines(p.BodyLen)) * h.cfg.NIC.Fabric.PerLineStream
 	}
@@ -583,7 +623,7 @@ func (w *worker) runHandler() {
 	h := w.h
 	p := &w.p
 	// Suspending handler (nested RPC) takes precedence.
-	if fn := h.async[uint64(p.Svc)<<16|uint64(p.Method)]; fn != nil {
+	if fn := w.hs.asyncFor(p.Method); fn != nil {
 		fn(w.tc, w.coreID, w.body, w.respond)
 		return
 	}
@@ -609,14 +649,14 @@ func (w *worker) finish() {
 	if thr > 0 && len(respBody) >= thr {
 		// Large response: leave it in a DMA buffer; the NIC pulls
 		// it. Host cost is just the descriptor write.
-		h.NIC.WriteDMAResponse(p.Serial, respBody)
+		h.NIC.WriteDMAResponse(w.coreID, p.Serial, respBody)
 		w.respLine = responseBufLine(w.respLine, h.NIC.lineSize(), w.status, p.Serial, len(respBody))
 		auxCost = 50 * sim.Nanosecond
 	} else {
 		var inline int
 		w.respLine, inline = responseLine(w.respLine, h.NIC.lineSize(), w.status, p.Serial, respBody)
 		if inline < len(respBody) {
-			h.NIC.WriteAuxResponse(p.Serial, respBody[inline:])
+			h.NIC.WriteAuxResponse(w.coreID, p.Serial, respBody[inline:])
 			auxCost = sim.Time(h.NIC.AuxLines(len(respBody))) * h.cfg.NIC.Fabric.PerLineStream
 		}
 	}
@@ -656,7 +696,7 @@ func panicBadMarker(m byte, line string) {
 //lhlint:hotpath
 func (w *worker) afterStore() {
 	h := w.h
-	h.served[w.p.Svc]++
+	w.hs.served++
 	if h.OnServed != nil {
 		h.OnServed(w.p.Svc, w.p.Serial)
 	}

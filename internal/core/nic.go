@@ -100,10 +100,12 @@ type Stats struct {
 
 // Endpoint is the NIC-side state of one registered service.
 type Endpoint struct {
-	Svc     uint32
-	PID     int
-	Port    uint16 // UDP destination port the service answers on
-	methods map[uint16]methodInfo
+	Svc  uint32
+	PID  int
+	Port uint16 // UDP destination port the service answers on
+	// methods holds the per-method code/data pointers the OS pushed,
+	// scanned per request: a service has a handful of methods.
+	methods []methodInfo
 
 	queue fifo.Queue[*inflight] // decoded requests awaiting dispatch
 
@@ -114,12 +116,33 @@ type Endpoint struct {
 	// minWorkers is the endpoint's poller floor: at or above it, the
 	// retire policy may hand the core to a starved service.
 	minWorkers int
+
+	// tel is the service's §6 telemetry record, allocated on its first
+	// request.
+	tel *SvcTelemetry
 }
 
 // Pollers returns the number of cores stalled on this endpoint.
 func (ep *Endpoint) Pollers() int { return len(ep.waiters) }
 
+// starved reports whether the endpoint has queued work and no poller.
+func (ep *Endpoint) starved() bool { return ep.queue.Len() > 0 && len(ep.waiters) == 0 }
+
+// method returns the info of the service's method id, or nil; like
+// rpc.ServiceDesc.Method, the first registration of an ID wins.
+//
+//lhlint:hotpath
+func (ep *Endpoint) method(id uint16) *methodInfo {
+	for i := range ep.methods {
+		if ep.methods[i].id == id {
+			return &ep.methods[i]
+		}
+	}
+	return nil
+}
+
 type methodInfo struct {
+	id   uint16
 	code uint64
 	data uint64
 }
@@ -127,8 +150,8 @@ type methodInfo struct {
 // inflight tracks one request from decode to response transmit.
 type inflight struct {
 	serial   uint64
-	svc      uint32
-	method   uint16
+	ep       *Endpoint
+	method   *methodInfo
 	rpcID    uint64
 	body     []byte // aliases frame
 	frame    []byte // the delivered request, kept until the response is encoded
@@ -140,6 +163,28 @@ type inflight struct {
 	// dmaResp marks that the host placed the response in a DMA buffer;
 	// the NIC pulls it before transmitting.
 	dmaResp bool
+	// aux carries the response body bytes beyond the inline chunk (the
+	// contents of the aux cache lines, or of the DMA buffer). The buffer
+	// comes from the NIC's auxFree and returns to it once
+	// transmitResponse has merged it.
+	aux []byte
+}
+
+// coreSlot is the NIC's state for one core. The protocol is organized
+// per core (Fig. 4): a core polls one pair of control lines, so it parks
+// at most one load and owes at most one response.
+type coreSlot struct {
+	// pending is the core's deferred load, if any.
+	pending *pendingLoad
+	// owed is the request whose response the core is writing into line
+	// owedAt. It is set at dispatch and taken when the core loads the
+	// paired line, or when FlushChannel recalls the line.
+	owed   *inflight
+	owedAt mesi.LineAddr
+	// ep is the endpoint of the last request dispatched to the core: the
+	// service whose user loop the core runs, so that the loop's loads
+	// resolve their endpoint without a lookup.
+	ep *Endpoint
 }
 
 // pendingLoad is a deferred fill: a core stalled on a control line.
@@ -147,10 +192,12 @@ type inflight struct {
 // bound once at allocation, so parking a load allocates nothing in steady
 // state.
 type pendingLoad struct {
-	n       *NIC
-	addr    mesi.LineAddr
-	coreID  int
-	svc     uint32 // 0 for kernel lines
+	n      *NIC
+	addr   mesi.LineAddr
+	coreID int
+	// ep is the endpoint whose service line the core loaded; nil for
+	// kernel and client lines.
+	ep      *Endpoint
 	kernel  bool
 	respond func(data []byte)
 	timer   *sim.Event
@@ -161,7 +208,10 @@ type pendingLoad struct {
 // directory's Recall callback; entries are pooled on the NIC (rcFree) with
 // the callback bound once at allocation.
 type recallPend struct {
-	n       *NIC
+	n *NIC
+	// req is the request whose response the recalled line holds, and
+	// serial its serial when the recall was issued.
+	req     *inflight
 	serial  uint64
 	addr    mesi.LineAddr
 	region  int
@@ -187,30 +237,22 @@ type NIC struct {
 	// contract).
 	frames *wire.FramePool
 
+	// endpoints and byPort find an endpoint by service ID and by UDP
+	// port. Past the port demux, a request reaches its endpoint through
+	// pointers (inflight, pending load, core slot), not these maps.
 	endpoints map[uint32]*Endpoint
 	byPort    map[uint16]*Endpoint
 
-	// pendingByCore tracks the (at most one) deferred load per core,
-	// indexed by core ID — a direct array hit on every packet arrival and
-	// kick, where a map would hash. Grown on demand for out-of-range IDs.
-	pendingByCore []*pendingLoad
+	// cores holds each core's slot, indexed by core ID. Grown on demand
+	// for out-of-range IDs.
+	cores []coreSlot
 	// kernelOrder lists the deferred loads of cores whose kernel loop is
 	// stalled, FIFO.
 	kernelOrder []*pendingLoad
 
-	inflights  map[uint64]*inflight
 	nextSerial uint64
 
-	// awaiting[a] is the serial whose response the CPU is writing into
-	// line a; set when the request is dispatched, consumed when the
-	// paired line is loaded.
-	awaiting map[mesi.LineAddr]uint64
-
-	// auxOut[serial] carries response body bytes beyond the inline chunk
-	// (the contents of the aux cache lines, or of the DMA buffer). The
-	// buffers come from auxFree and return to it once transmitResponse
-	// has merged them.
-	auxOut  map[uint64][]byte
+	// auxFree recycles the response aux buffers (inflight.aux).
 	auxFree [][]byte
 
 	// sched mirror: per-core PID pushed by the kernel (§4: the OS keeps
@@ -225,16 +267,14 @@ type NIC struct {
 	// reused func value fires them, so neither transmit nor decode
 	// allocates a closure per packet. FIFO is sound because TxBuild is
 	// constant and decode completions are monotone (decodeBusy).
-	txFn    func()
-	txq     [][]byte
-	txHead  int
-	decFn   func()
-	decq    []decoded
-	decHead int
+	txFn  func()
+	txq   fifo.Queue[[]byte]
+	decFn func()
+	decq  fifo.Queue[decoded]
 
 	// Per-NIC staging scratch: the receive path parses frames into rxScr
-	// and appends it by value onto decq; decodeDone copies the head slot
-	// into dispScr before dispatching. Both are reused every packet, and
+	// and pushes it by value onto decq; decodeDone pops the head into
+	// dispScr before dispatching. Both are reused every packet, and
 	// txRPC gathers each message straight into its frame, so the
 	// steady-state receive/transmit paths allocate nothing.
 	rxScr   decoded
@@ -252,10 +292,13 @@ type NIC struct {
 	plFree []*pendingLoad
 	rcFree []*recallPend
 
-	// epOrder lists endpoints in registration order so the backlog scans
-	// (oldestBacklog, anyStarved) walk a slice instead of hashing a map on
-	// every deferred-load decision.
+	// epOrder lists endpoints in registration order, for oldestBacklog's
+	// scan and the telemetry report.
 	epOrder []*Endpoint
+	// starved counts the endpoints with queued work and no poller
+	// (Endpoint.starved). pushReq, popReq, addWaiter and dropWaiter keep
+	// it, so the retire policy asks for it without a scan.
+	starved int
 
 	// Client (outbound RPC) state.
 	clientChans  map[uint32]*clientChanNIC
@@ -269,10 +312,7 @@ type NIC struct {
 	arp     map[wire.IP]wire.MAC
 	peerARP map[wire.IP]wire.MAC
 
-	// telemetry is the §6 per-service statistics block, readable by the
-	// OS over the kernel control channel.
-	telemetry map[uint32]*SvcTelemetry
-	tracer    *trace.Tracer
+	tracer *trace.Tracer
 
 	stats Stats
 
@@ -306,22 +346,18 @@ func NewNIC(s *sim.Sim, cfg Config, nCores int) *NIC {
 		cfg.SvcQueueDepth = 256
 	}
 	n := &NIC{
-		sim:           s,
-		cfg:           cfg,
-		endpoints:     make(map[uint32]*Endpoint),
-		byPort:        make(map[uint16]*Endpoint),
-		pendingByCore: make([]*pendingLoad, nCores),
-		inflights:     make(map[uint64]*inflight),
-		awaiting:      make(map[mesi.LineAddr]uint64),
-		auxOut:        make(map[uint64][]byte),
-		coreProc:      make([]int, nCores),
-		nextSerial:    1,
-		clientChans:   make(map[uint32]*clientChanNIC),
-		clientCalls:   make(map[uint64]*clientCall),
-		clientStaged:  make(map[mesi.LineAddr]struct{}),
-		clientAuxIn:   make(map[uint64][]byte),
-		clientAuxOut:  make(map[uint64][]byte),
-		telemetry:     make(map[uint32]*SvcTelemetry),
+		sim:          s,
+		cfg:          cfg,
+		endpoints:    make(map[uint32]*Endpoint),
+		byPort:       make(map[uint16]*Endpoint),
+		cores:        make([]coreSlot, nCores),
+		coreProc:     make([]int, nCores),
+		nextSerial:   1,
+		clientChans:  make(map[uint32]*clientChanNIC),
+		clientCalls:  make(map[uint64]*clientCall),
+		clientStaged: make(map[mesi.LineAddr]struct{}),
+		clientAuxIn:  make(map[uint64][]byte),
+		clientAuxOut: make(map[uint64][]byte),
 	}
 	if cfg.DMAThreshold > 0 && !cfg.DMA.HasDMA {
 		panic("core: DMAThreshold set but DMA fabric has no DMA engine")
@@ -335,10 +371,123 @@ func NewNIC(s *sim.Sim, cfg Config, nCores int) *NIC {
 
 // pendingOn returns the deferred load parked on coreID, if any.
 func (n *NIC) pendingOn(coreID int) *pendingLoad {
-	if coreID < 0 || coreID >= len(n.pendingByCore) {
+	if uint(coreID) >= uint(len(n.cores)) {
 		return nil
 	}
-	return n.pendingByCore[coreID]
+	return n.cores[coreID].pending
+}
+
+// slot returns coreID's slot, growing the table for an out-of-range ID.
+// The pointer is valid until the next call that may grow the table.
+//
+//lhlint:hotpath
+func (n *NIC) slot(coreID int) *coreSlot {
+	if coreID >= len(n.cores) {
+		n.cores = append(n.cores, make([]coreSlot, coreID+1-len(n.cores))...)
+	}
+	return &n.cores[coreID]
+}
+
+// takeOwed removes and returns the request whose response coreID owes in
+// line at, or nil if the core owes none there.
+//
+//lhlint:hotpath
+func (n *NIC) takeOwed(coreID int, at mesi.LineAddr) *inflight {
+	if uint(coreID) >= uint(len(n.cores)) {
+		return nil
+	}
+	s := &n.cores[coreID]
+	req := s.owed
+	if req == nil || s.owedAt != at {
+		return nil
+	}
+	s.owed = nil
+	return req
+}
+
+// owedBy returns the request coreID owes a response for, if its serial
+// is serial. The host's calls about a request (AuxBody, DMABody and the
+// response writes) come from the worker of the core it was dispatched
+// to, so they resolve through that core's slot.
+//
+//lhlint:hotpath
+func (n *NIC) owedBy(coreID int, serial uint64) *inflight {
+	if uint(coreID) >= uint(len(n.cores)) {
+		return nil
+	}
+	req := n.cores[coreID].owed
+	if req == nil || req.serial != serial {
+		return nil
+	}
+	return req
+}
+
+// endpointOn resolves the endpoint of service line svc that coreID
+// loaded: in steady state the core's slot names it; otherwise (a load on
+// a line the NIC never dispatched into) it is looked up, nil if svc is
+// unregistered.
+//
+//lhlint:hotpath
+func (n *NIC) endpointOn(coreID int, svc uint32) *Endpoint {
+	if uint(coreID) < uint(len(n.cores)) {
+		if ep := n.cores[coreID].ep; ep != nil && ep.Svc == svc {
+			return ep
+		}
+	}
+	return n.endpoints[svc]
+}
+
+// pushReq queues req on ep, counting ep as starved if it gains work with
+// no poller.
+//
+//lhlint:hotpath
+func (n *NIC) pushReq(ep *Endpoint, req *inflight) {
+	if ep.queue.Len() == 0 && len(ep.waiters) == 0 {
+		n.starved++
+	}
+	ep.queue.Push(req)
+}
+
+// popReq dequeues ep's oldest request, uncounting ep as starved if that
+// empties its queue.
+//
+//lhlint:hotpath
+func (n *NIC) popReq(ep *Endpoint) *inflight {
+	req := ep.queue.Pop()
+	if ep.queue.Len() == 0 && len(ep.waiters) == 0 {
+		n.starved--
+	}
+	return req
+}
+
+// addWaiter parks p on ep, uncounting ep as starved if p is its first
+// poller.
+//
+//lhlint:hotpath
+func (n *NIC) addWaiter(ep *Endpoint, p *pendingLoad) {
+	if len(ep.waiters) == 0 && ep.queue.Len() > 0 {
+		n.starved--
+	}
+	ep.waiters = append(ep.waiters, p)
+}
+
+// dropWaiter unparks p from ep, counting ep as starved if p was its last
+// poller and work is queued.
+//
+//lhlint:hotpath
+func (n *NIC) dropWaiter(ep *Endpoint, p *pendingLoad) {
+	ws := ep.waiters
+	for i, w := range ws {
+		if w == p {
+			copy(ws[i:], ws[i+1:])
+			ws[len(ws)-1] = nil
+			ep.waiters = ws[:len(ws)-1]
+			break
+		}
+	}
+	if len(ep.waiters) == 0 && ep.queue.Len() > 0 {
+		n.starved++
+	}
 }
 
 // Directory returns the coherence directory the NIC homes.
@@ -371,11 +520,11 @@ func (n *NIC) RegisterService(svc *rpc.ServiceDesc, pid int, port uint16, minWor
 		Svc:        svc.ID,
 		PID:        pid,
 		Port:       port,
-		methods:    make(map[uint16]methodInfo),
+		methods:    make([]methodInfo, 0, len(svc.Methods)),
 		minWorkers: minWorkers,
 	}
 	for _, m := range svc.Methods {
-		ep.methods[m.ID] = methodInfo{code: m.CodeAddr, data: m.DataAddr}
+		ep.methods = append(ep.methods, methodInfo{id: m.ID, code: m.CodeAddr, data: m.DataAddr})
 	}
 	n.endpoints[svc.ID] = ep
 	n.byPort[port] = ep
@@ -456,12 +605,12 @@ func (n *NIC) newRecallPend() *recallPend {
 //
 //lhlint:hotpath
 func (r *recallPend) run(data []byte) {
-	n, serial := r.n, r.serial
+	n, req, serial := r.n, r.req, r.serial
 	addr, region, svc, coreID := r.addr, r.region, r.svc, r.coreID
 	respond := r.respond
-	r.respond = nil
+	r.req, r.respond = nil, nil
 	n.rcFree = append(n.rcFree, r)
-	n.transmitResponse(serial, data)
+	n.transmitResponse(coreID, serial, req, data)
 	if respond != nil {
 		n.answerLoad(addr, region, svc, coreID, respond)
 	}
@@ -525,11 +674,10 @@ func (n *NIC) ReadLine(addr mesi.LineAddr, excl bool, respond func(data []byte))
 	} else {
 		pairAddr = svcCtrl(svc, coreID, 1-idx)
 	}
-	if serial, ok := n.awaiting[pairAddr]; ok {
-		delete(n.awaiting, pairAddr)
+	if req := n.takeOwed(coreID, pairAddr); req != nil {
 		r := n.newRecallPend()
-		r.serial, r.addr, r.region, r.svc, r.coreID, r.respond =
-			serial, addr, region, svc, coreID, respond
+		r.req, r.serial, r.addr, r.region, r.svc, r.coreID, r.respond =
+			req, req.serial, addr, region, svc, coreID, respond
 		n.dir.Recall(pairAddr, r.fire)
 		return
 	}
@@ -546,7 +694,7 @@ func (n *NIC) WriteLine(addr mesi.LineAddr, data []byte) {}
 //lhlint:hotpath
 func (n *NIC) answerLoad(addr mesi.LineAddr, region int, svc uint32, coreID int, respond func([]byte)) {
 	if region == regionService {
-		ep := n.endpoints[svc]
+		ep := n.endpointOn(coreID, svc)
 		if ep == nil {
 			// Load on an unregistered endpoint: answer TryAgain so the
 			// core is not wedged.
@@ -555,11 +703,11 @@ func (n *NIC) answerLoad(addr mesi.LineAddr, region int, svc uint32, coreID int,
 			return
 		}
 		if ep.queue.Len() > 0 {
-			req := ep.queue.Pop()
+			req := n.popReq(ep)
 			n.stats.FastDispatch++
 			n.noteDispatch(req, false)
-			n.emit(trace.Dispatch, uint64(req.svc), uint64(coreID), "fast-queued")
-			n.dispatchTo(addr, req, false, respond)
+			n.emit(trace.Dispatch, uint64(ep.Svc), uint64(coreID), "fast-queued")
+			n.dispatchTo(addr, coreID, req, false, respond)
 			return
 		}
 		// Work-conserving reallocation: if this endpoint is idle while
@@ -567,43 +715,47 @@ func (n *NIC) answerLoad(addr mesi.LineAddr, region int, svc uint32, coreID int,
 		// right away instead of parking it for 15 ms (§5.2: the NIC
 		// "requests the OS to reschedule processes in response to new
 		// packets").
-		if n.RetirePolicy && n.anyStarved() && len(ep.waiters) >= ep.minWorkers {
+		if n.RetirePolicy && n.starved > 0 && len(ep.waiters) >= ep.minWorkers {
 			n.stats.Retires++
+			n.emit(trace.Retire, uint64(coreID), uint64(svc), "idle")
 			n.lineScr = markerLine(n.lineScr, n.lineSize(), MarkerRetire)
 			respond(n.lineScr)
 			return
 		}
 		// Nothing queued: defer (stalled load).
-		n.defer_(addr, coreID, svc, false, respond)
+		n.defer_(addr, coreID, ep, false, respond)
 		return
 	}
 
 	// Kernel line: any service's backlog can be dispatched here.
 	if !n.NoKernelDispatch {
-		if req, _ := n.oldestBacklog(); req != nil {
+		if req := n.oldestBacklog(); req != nil {
 			n.stats.KernDispatch++
 			n.noteDispatch(req, true)
-			n.emit(trace.Dispatch, uint64(req.svc), uint64(coreID), "kernel-queued")
-			n.dispatchTo(addr, req, true, respond)
+			n.emit(trace.Dispatch, uint64(req.ep.Svc), uint64(coreID), "kernel-queued")
+			n.dispatchTo(addr, coreID, req, true, respond)
 			return
 		}
 	}
-	n.defer_(addr, coreID, 0, true, respond)
+	n.defer_(addr, coreID, nil, true, respond)
 }
 
 // oldestBacklog pops the longest-waiting queued request across services
 // that have no poller (services with pollers will be served by them).
-// Ties break on service ID, keeping the choice deterministic. The scan
-// walks the registration-ordered slice: endpoint sets are small and fixed
-// after setup, and the slice avoids per-call map-iterator work on a path
-// taken for every kernel-line load.
+// Ties break on service ID, keeping the choice deterministic. It returns
+// at once when no endpoint is starved — the common case on a path taken
+// for every kernel-line load — and otherwise scans the
+// registration-ordered endpoints.
 //
 //lhlint:hotpath
-func (n *NIC) oldestBacklog() (*inflight, *Endpoint) {
+func (n *NIC) oldestBacklog() *inflight {
+	if n.starved == 0 {
+		return nil
+	}
 	var best *Endpoint
 	var bestAt sim.Time
 	for _, ep := range n.epOrder {
-		if ep.queue.Len() == 0 || len(ep.waiters) > 0 {
+		if !ep.starved() {
 			continue
 		}
 		if at := ep.queue.Peek().arriveAt; best == nil || at < bestAt || (at == bestAt && ep.Svc < best.Svc) {
@@ -611,71 +763,63 @@ func (n *NIC) oldestBacklog() (*inflight, *Endpoint) {
 			bestAt = at
 		}
 	}
-	if best == nil {
-		return nil, nil
-	}
-	req := best.queue.Pop()
-	return req, best
+	return n.popReq(best)
 }
 
 // defer_ parks a load until work (or the TryAgain timer) arrives.
 //
 //lhlint:hotpath
-func (n *NIC) defer_(addr mesi.LineAddr, coreID int, svc uint32, kernel bool, respond func([]byte)) {
-	for _, q := range n.pendingByCore {
-		if q != nil && q.addr == addr {
+func (n *NIC) defer_(addr mesi.LineAddr, coreID int, ep *Endpoint, kernel bool, respond func([]byte)) {
+	for i := range n.cores {
+		if q := n.cores[i].pending; q != nil && q.addr == addr {
 			panicDuplicatePending(addr)
 		}
 	}
-	if coreID >= len(n.pendingByCore) {
-		n.pendingByCore = append(n.pendingByCore, make([]*pendingLoad, coreID+1-len(n.pendingByCore))...)
-	}
-	if n.pendingByCore[coreID] != nil {
+	s := n.slot(coreID)
+	if s.pending != nil {
 		panicPendingBusy(coreID)
 	}
 	p := n.newPendingLoad()
-	p.addr, p.coreID, p.svc, p.kernel, p.respond = addr, coreID, svc, kernel, respond
+	p.addr, p.coreID, p.ep, p.kernel, p.respond = addr, coreID, ep, kernel, respond
 	p.timer = n.sim.After(n.cfg.TryAgainTimeout, "lauberhorn-tryagain", p.fire)
-	n.pendingByCore[coreID] = p
-	region, _, _, _ := splitAddr(addr)
+	s.pending = p
 	switch {
-	case region == regionClient:
-		// Client-channel waits have no endpoint bookkeeping.
 	case kernel:
 		n.kernelOrder = append(n.kernelOrder, p)
+	case ep != nil:
+		n.addWaiter(ep, p)
 	default:
-		ep := n.endpoints[svc]
-		ep.waiters = append(ep.waiters, p)
+		// Client-channel waits have no endpoint bookkeeping.
 	}
 }
 
 // removePending unlinks a deferred load (it is about to be answered).
 func (n *NIC) removePending(p *pendingLoad) {
-	n.pendingByCore[p.coreID] = nil
+	n.cores[p.coreID].pending = nil
 	if p.timer != nil {
 		n.sim.Cancel(p.timer)
 		p.timer = nil
 	}
-	region, _, _, _ := splitAddr(p.addr)
-	if region == regionClient {
-		return
-	}
-	if p.kernel {
+	switch {
+	case p.kernel:
 		for i, q := range n.kernelOrder {
 			if q == p {
 				n.kernelOrder = append(n.kernelOrder[:i], n.kernelOrder[i+1:]...)
 				break
 			}
 		}
-		return
+	case p.ep != nil:
+		n.dropWaiter(p.ep, p)
 	}
-	ep := n.endpoints[p.svc]
-	for i, w := range ep.waiters {
-		if w == p {
-			ep.waiters = append(ep.waiters[:i], ep.waiters[i+1:]...)
-			break
-		}
+}
+
+// svcOf returns the service a deferred load polls, 0 for kernel and
+// client lines.
+func (p *pendingLoad) svcOf() uint32 {
+	if p.ep == nil {
+		return 0
 	}
+	return p.ep.Svc
 }
 
 // fireTryAgain answers a deferred load with TryAgain — or Retire, when the
@@ -684,25 +828,22 @@ func (n *NIC) fireTryAgain(p *pendingLoad) {
 	p.timer = nil
 	n.removePending(p)
 	marker := byte(MarkerTryAgain)
-	region, _, _, _ := splitAddr(p.addr)
-	if n.RetirePolicy && !p.kernel && region != regionClient {
+	if n.RetirePolicy && p.ep != nil {
 		// If another service is starved (queued work, no poller) while
 		// this endpoint idles above its worker floor, retire the core.
-		// Note: the poller count still includes p at this point, so the
-		// comparison is against the pre-removal population.
-		if n.anyStarved() {
-			ep := n.endpoints[p.svc]
-			if len(ep.waiters)+1 > ep.minWorkers {
-				marker = MarkerRetire
-			}
+		// removePending has already dropped p from the endpoint's
+		// pollers; the +1 counts it back, so the comparison is against
+		// the population before the timer fired.
+		if n.starved > 0 && len(p.ep.waiters)+1 > p.ep.minWorkers {
+			marker = MarkerRetire
 		}
 	}
 	if marker == MarkerRetire {
 		n.stats.Retires++
-		n.emit(trace.Retire, uint64(p.coreID), uint64(p.svc), "timer")
+		n.emit(trace.Retire, uint64(p.coreID), uint64(p.svcOf()), "timer")
 	} else {
 		n.stats.TryAgains++
-		n.emit(trace.TryAgain, uint64(p.coreID), uint64(p.svc), "")
+		n.emit(trace.TryAgain, uint64(p.coreID), uint64(p.svcOf()), "")
 	}
 	respond := p.respond
 	n.freePendingLoad(p)
@@ -710,8 +851,9 @@ func (n *NIC) fireTryAgain(p *pendingLoad) {
 	respond(n.lineScr)
 }
 
-// panicDuplicatePending and panicPendingBusy keep fmt boxing off defer_'s
-// hot path; neither returns.
+// panicDuplicatePending, panicPendingBusy, panicStillOwes,
+// panicNoInflight and panicNoResponse keep fmt boxing off the hot paths
+// that check the per-core invariants; none of them returns.
 func panicDuplicatePending(addr mesi.LineAddr) {
 	panic(fmt.Sprintf("core: duplicate pending load on %#x", uint64(addr)))
 }
@@ -720,16 +862,18 @@ func panicPendingBusy(coreID int) {
 	panic(fmt.Sprintf("core: core %d already has a pending load", coreID))
 }
 
-// anyStarved reports whether any pollerless service has queued work.
-//
-//lhlint:hotpath
-func (n *NIC) anyStarved() bool {
-	for _, ep := range n.epOrder {
-		if ep.queue.Len() > 0 && len(ep.waiters) == 0 {
-			return true
-		}
-	}
-	return false
+func panicStillOwes(coreID int, owed, serial uint64) {
+	panic(fmt.Sprintf("core: dispatch of serial %d onto core %d, which still owes the response to serial %d",
+		serial, coreID, owed))
+}
+
+func panicNoInflight(coreID int, serial uint64) {
+	panic(fmt.Sprintf("core: response recalled from core %d finds no request in flight for serial %d",
+		coreID, serial))
+}
+
+func panicNoResponse(coreID int, serial uint64) {
+	panic(fmt.Sprintf("core: line recalled from core %d holds no response for serial %d", coreID, serial))
 }
 
 // FlushChannel immediately recalls and transmits any response parked in
@@ -738,18 +882,17 @@ func (n *NIC) anyStarved() bool {
 // between writing a response and loading the paired line would strand the
 // response in the descheduled core's cache until the channel is next used
 // — a race surfaced by the handoff model in internal/check. The worker
-// only yields between requests, so an awaiting entry here always has its
-// response written.
+// only yields between requests, so a response the core owes here is
+// always written.
 func (n *NIC) FlushChannel(svc uint32, coreID int) {
 	for idx := 0; idx < 2; idx++ {
 		addr := svcCtrl(svc, coreID, idx)
-		serial, ok := n.awaiting[addr]
-		if !ok {
+		req := n.takeOwed(coreID, addr)
+		if req == nil {
 			continue
 		}
-		delete(n.awaiting, addr)
 		r := n.newRecallPend()
-		r.serial = serial
+		r.req, r.serial, r.coreID = req, req.serial, coreID
 		n.dir.Recall(addr, r.fire)
 	}
 }
@@ -765,6 +908,7 @@ func (n *NIC) Kick(coreID int) bool {
 	}
 	n.removePending(p)
 	n.stats.TryAgains++
+	n.emit(trace.TryAgain, uint64(coreID), uint64(p.svcOf()), "kick")
 	respond := p.respond
 	n.freePendingLoad(p)
 	n.lineScr = markerLine(n.lineScr, n.lineSize(), MarkerTryAgain)
@@ -781,6 +925,7 @@ func (n *NIC) RetireCore(coreID int) bool {
 	}
 	n.removePending(p)
 	n.stats.Retires++
+	n.emit(trace.Retire, uint64(coreID), uint64(p.svcOf()), "reclaim")
 	respond := p.respond
 	n.freePendingLoad(p)
 	n.lineScr = markerLine(n.lineScr, n.lineSize(), MarkerRetire)
@@ -788,21 +933,27 @@ func (n *NIC) RetireCore(coreID int) bool {
 	return true
 }
 
-// dispatchTo answers a load with a request dispatch. kernel selects the
-// KDispatch marker (the core must switch processes first); in that case
-// the response is expected on the service channel's line 0, because the
-// core leaves the kernel loop and enters the service's user loop.
-func (n *NIC) dispatchTo(addr mesi.LineAddr, req *inflight, kernel bool, respond func([]byte)) {
-	ep := n.endpoints[req.svc]
-	mi := ep.methods[req.method]
+// dispatchTo answers coreID's load on addr with a request dispatch.
+// kernel selects the KDispatch marker (the core must switch processes
+// first); in that case the response is expected on the service channel's
+// line 0, because the core leaves the kernel loop and enters the
+// service's user loop. The core's slot records the response it now owes;
+// it must owe none already.
+//
+//lhlint:hotpath
+func (n *NIC) dispatchTo(addr mesi.LineAddr, coreID int, req *inflight, kernel bool, respond func([]byte)) {
+	ep, mi := req.ep, req.method
 	marker := byte(MarkerDispatch)
 	respAddr := addr
 	if kernel {
 		marker = MarkerKDispatch
-		_, _, coreID, _ := splitAddr(addr)
-		respAddr = svcCtrl(req.svc, coreID, 0)
+		respAddr = svcCtrl(ep.Svc, coreID, 0)
 	}
-	n.awaiting[respAddr] = req.serial
+	s := n.slot(coreID)
+	if s.owed != nil {
+		panicStillOwes(coreID, s.owed.serial, req.serial)
+	}
+	s.owed, s.owedAt, s.ep = req, respAddr, ep
 	if req.viaDMA {
 		// §6 large-message fallback: DMA the body to a host buffer, then
 		// answer the load with a buffer descriptor instead of inline
@@ -810,7 +961,7 @@ func (n *NIC) dispatchTo(addr mesi.LineAddr, req *inflight, kernel bool, respond
 		// the line must be freshly allocated (it parks across simulated
 		// time while the scratch gets rebuilt).
 		inline := []byte(nil)
-		line, _ := dispatchLine(nil, n.lineSize(), marker|markerBufFlag, req.svc, req.method,
+		line, _ := dispatchLine(nil, n.lineSize(), marker|markerBufFlag, ep.Svc, mi.id,
 			req.serial, mi.code, mi.data, inline)
 		// dispatchLine zeroed BodyLen from the empty inline slice;
 		// rewrite it with the true buffer length.
@@ -822,7 +973,7 @@ func (n *NIC) dispatchTo(addr mesi.LineAddr, req *inflight, kernel bool, respond
 		})
 		return
 	}
-	n.lineScr, _ = dispatchLine(n.lineScr, n.lineSize(), marker, req.svc, req.method, req.serial,
+	n.lineScr, _ = dispatchLine(n.lineScr, n.lineSize(), marker, ep.Svc, mi.id, req.serial,
 		mi.code, mi.data, req.body)
 	// Body bytes beyond the inline chunk arrive via aux lines; the host
 	// charges the streaming cost and fetches them with AuxBody. The
@@ -834,10 +985,11 @@ func (n *NIC) dispatchTo(addr mesi.LineAddr, req *inflight, kernel bool, respond
 // lineSize returns the coherence granule.
 func (n *NIC) lineSize() int { return n.cfg.Fabric.CacheLineSize }
 
-// AuxBody returns the part of a request body that did not fit inline —
-// the contents of the request's aux cache lines.
-func (n *NIC) AuxBody(serial uint64) []byte {
-	req := n.inflights[serial]
+// AuxBody returns the part of request serial's body that did not fit
+// inline — the contents of its aux cache lines. coreID is the core the
+// request was dispatched to.
+func (n *NIC) AuxBody(coreID int, serial uint64) []byte {
+	req := n.owedBy(coreID, serial)
 	if req == nil {
 		return nil
 	}
@@ -859,40 +1011,45 @@ func (n *NIC) AuxLines(bodyLen int) int {
 }
 
 // WriteAuxResponse stores the response body overflow (the CPU's stores to
-// aux lines); timing is charged by the host loop.
+// aux lines) of request serial, dispatched to coreID; timing is charged by
+// the host loop.
 //
 //lhlint:hotpath
-func (n *NIC) WriteAuxResponse(serial uint64, rest []byte) {
-	n.stageAux(serial, rest)
+func (n *NIC) WriteAuxResponse(coreID int, serial uint64, rest []byte) {
+	if req := n.owedBy(coreID, serial); req != nil {
+		n.stageAux(req, rest)
+	}
 }
 
-// WriteDMAResponse places a large response body in a host DMA buffer; the
-// NIC pulls it with its DMA engine before transmitting (§6 fallback).
-func (n *NIC) WriteDMAResponse(serial uint64, body []byte) {
-	n.stageAux(serial, body)
-	if req := n.inflights[serial]; req != nil {
+// WriteDMAResponse places a large response body of request serial,
+// dispatched to coreID, in a host DMA buffer; the NIC pulls it with its
+// DMA engine before transmitting (§6 fallback).
+func (n *NIC) WriteDMAResponse(coreID int, serial uint64, body []byte) {
+	if req := n.owedBy(coreID, serial); req != nil {
+		n.stageAux(req, body)
 		req.dmaResp = true
 	}
 }
 
 // stageAux copies response bytes the CPU wrote outside the control line
-// into a recycled buffer, keyed by the request's serial.
+// into a recycled buffer on the request.
 //
 //lhlint:hotpath
-func (n *NIC) stageAux(serial uint64, b []byte) {
+func (n *NIC) stageAux(req *inflight, b []byte) {
 	var buf []byte
 	if k := len(n.auxFree); k > 0 {
 		buf = n.auxFree[k-1][:0]
 		n.auxFree[k-1] = nil
 		n.auxFree = n.auxFree[:k-1]
 	}
-	n.auxOut[serial] = append(buf, b...)
+	req.aux = append(buf, b...)
 }
 
-// DMABody returns the full request body for a buffer-dispatched request
-// (the contents of the host DMA buffer after the NIC's transfer).
-func (n *NIC) DMABody(serial uint64) []byte {
-	req := n.inflights[serial]
+// DMABody returns the full body of buffer-dispatched request serial,
+// dispatched to coreID (the contents of the host DMA buffer after the
+// NIC's transfer).
+func (n *NIC) DMABody(coreID int, serial uint64) []byte {
+	req := n.owedBy(coreID, serial)
 	if req == nil {
 		return nil
 	}
@@ -956,7 +1113,7 @@ func (n *NIC) DeliverDatagram(frame []byte, d *wire.Datagram) {
 	// replaces a per-packet closure. The queue holds values, not pointers:
 	// staging a packet is a copy into recycled slice capacity, not a heap
 	// allocation.
-	n.decq = append(n.decq, *dec)
+	n.decq.Push(*dec)
 	n.sim.At(start+lat, "lauberhorn-decoded", n.decFn)
 }
 
@@ -970,20 +1127,13 @@ type decoded struct {
 }
 
 // decodeDone dispatches the oldest staged packet; it is the single bound
-// callback behind every "lauberhorn-decoded" event. The head slot is
-// copied into dispScr (not referenced in place) so a dispatch path that
-// stages new packets can grow decq without invalidating what we're
-// dispatching.
+// callback behind every "lauberhorn-decoded" event. The head is popped
+// into dispScr (not referenced in place) so a dispatch path that stages
+// new packets can grow decq without invalidating what we're dispatching.
 //
 //lhlint:hotpath
 func (n *NIC) decodeDone() {
-	n.dispScr = n.decq[n.decHead]
-	n.decq[n.decHead] = decoded{}
-	n.decHead++
-	if n.decHead == len(n.decq) {
-		n.decq = n.decq[:0]
-		n.decHead = 0
-	}
+	n.dispScr = n.decq.Pop()
 	if n.dispScr.msg.IsRequest() {
 		n.admit(&n.dispScr)
 	} else {
@@ -1004,7 +1154,8 @@ func (n *NIC) admit(dec *decoded) {
 		n.frames.Put(dec.frame)
 		return
 	}
-	if _, ok := ep.methods[msg.Method]; !ok {
+	mi := ep.method(msg.Method)
+	if mi == nil {
 		// Unknown method: NIC answers directly with an error response —
 		// zero host involvement.
 		n.stats.RxFrames++
@@ -1019,8 +1170,8 @@ func (n *NIC) admit(dec *decoded) {
 	// request references the payload in place instead of copying it.
 	req := n.newInflight()
 	req.serial = n.nextSerial
-	req.svc = msg.Service
-	req.method = msg.Method
+	req.ep = ep
+	req.method = mi
 	req.rpcID = msg.ID
 	req.body = msg.Body
 	req.frame = dec.frame
@@ -1028,9 +1179,8 @@ func (n *NIC) admit(dec *decoded) {
 	req.arriveAt = n.sim.Now()
 	req.viaDMA = n.cfg.DMAThreshold > 0 && len(msg.Body) >= n.cfg.DMAThreshold
 	n.nextSerial++
-	n.inflights[req.serial] = req
-	n.noteArrival(req.svc)
-	n.emit(trace.RxFrame, uint64(req.svc), req.serial, "")
+	n.noteArrival(ep)
+	n.emit(trace.RxFrame, uint64(ep.Svc), req.serial, "")
 
 	// Fast path: a core is stalled on this service's control line (FIFO
 	// over the endpoint's waiting channels).
@@ -1039,10 +1189,10 @@ func (n *NIC) admit(dec *decoded) {
 		n.removePending(p)
 		n.stats.FastDispatch++
 		n.noteDispatch(req, false)
-		n.emit(trace.Dispatch, uint64(req.svc), uint64(p.coreID), "fast")
-		addr, respond := p.addr, p.respond
+		n.emit(trace.Dispatch, uint64(ep.Svc), uint64(p.coreID), "fast")
+		addr, coreID, respond := p.addr, p.coreID, p.respond
 		n.freePendingLoad(p)
-		n.dispatchTo(addr, req, false, respond)
+		n.dispatchTo(addr, coreID, req, false, respond)
 		return
 	}
 	// Medium path: a core's kernel loop is stalled; hand it the request
@@ -1052,23 +1202,22 @@ func (n *NIC) admit(dec *decoded) {
 		n.removePending(p)
 		n.stats.KernDispatch++
 		n.noteDispatch(req, true)
-		n.emit(trace.Dispatch, uint64(req.svc), uint64(p.coreID), "kernel")
-		addr, respond := p.addr, p.respond
+		n.emit(trace.Dispatch, uint64(ep.Svc), uint64(p.coreID), "kernel")
+		addr, coreID, respond := p.addr, p.coreID, p.respond
 		n.freePendingLoad(p)
-		n.dispatchTo(addr, req, true, respond)
+		n.dispatchTo(addr, coreID, req, true, respond)
 		return
 	}
 	// Slow path: queue on the endpoint and notify the OS in software.
 	if ep.queue.Len() >= n.cfg.SvcQueueDepth {
 		n.stats.RxDropped++
-		n.telemetryFor(req.svc).Dropped++
-		delete(n.inflights, req.serial)
+		ep.tel.Dropped++
 		n.frames.Put(req.frame)
 		n.freeInflight(req)
 		return
 	}
-	ep.queue.Push(req)
-	n.telemetryFor(req.svc).Queued++
+	n.pushReq(ep, req)
+	ep.tel.Queued++
 	n.stats.Backlog.Record(int64(ep.queue.Len()))
 	if ep.queue.Len() == 1 && len(ep.waiters) == 0 && n.NotifyOS != nil {
 		n.stats.SoftNotify++
@@ -1081,30 +1230,27 @@ func (n *NIC) admit(dec *decoded) {
 
 // ---- transmit path ----
 
-// transmitResponse parses the recalled response line and sends the RPC
-// response to the client, its body the line's inline bytes followed by
-// any aux bytes.
+// transmitResponse parses the line recalled from coreID, which owed the
+// response to request serial (req), and sends the RPC response to the
+// client, its body the line's inline bytes followed by any aux bytes.
+// The core loads the paired line, or yields, only after its response
+// store completes, and nothing else recalls the line; so a recall that
+// finds no live request, or a line holding no response for it, is a
+// protocol fault, and it panics.
 //
 //lhlint:hotpath
-func (n *NIC) transmitResponse(serial uint64, line []byte) {
-	req := n.inflights[serial]
-	if req == nil {
-		return // duplicate recall or cancelled request
+func (n *NIC) transmitResponse(coreID int, serial uint64, req *inflight, line []byte) {
+	if req == nil || req.serial != serial {
+		panicNoInflight(coreID, serial)
 	}
 	pr, ok := parseResponseLine(line)
 	if !ok || pr.Serial != serial {
-		// The CPU never wrote a response (e.g. it was descheduled before
-		// finishing). Keep the inflight; the response will be recovered
-		// when the request is re-dispatched.
-		return
+		panicNoResponse(coreID, serial)
 	}
-	delete(n.inflights, serial)
-	staged, hasAux := n.auxOut[serial]
-	if hasAux {
-		delete(n.auxOut, serial)
-	}
+	staged := req.aux
+	req.aux = nil
 	inline, aux := clipBody(pr.Inline, staged, pr.BodyLen)
-	h := rpc.Header{Kind: rpc.KindResponse, Service: req.svc, Method: req.method, ID: req.rpcID, Status: pr.Status}
+	h := rpc.Header{Kind: rpc.KindResponse, Service: req.ep.Svc, Method: req.method.id, ID: req.rpcID, Status: pr.Status}
 	if pr.Buf && req.dmaResp {
 		// Pull the buffer out of host memory before transmitting. The
 		// closure holds the body until the DMA completes, so the body is
@@ -1124,7 +1270,7 @@ func (n *NIC) transmitResponse(serial uint64, line []byte) {
 		n.txRPC(req.client, h, inline, aux)
 		n.freeInflight(req)
 	}
-	if hasAux {
+	if staged != nil {
 		n.auxFree = append(n.auxFree, staged)
 	}
 }
@@ -1161,7 +1307,7 @@ func (n *NIC) txRPC(dst wire.Endpoint, h rpc.Header, inline, aux []byte) {
 	if err != nil {
 		panic(fmt.Sprintf("core: tx: %v", err))
 	}
-	n.txq = append(n.txq, frame)
+	n.txq.Push(frame)
 	n.sim.After(n.cfg.TxBuild, "lauberhorn-tx", n.txFn)
 }
 
@@ -1172,13 +1318,7 @@ func (n *NIC) txRPC(dst wire.Endpoint, h rpc.Header, inline, aux []byte) {
 //
 //lhlint:hotpath
 func (n *NIC) txFire() {
-	frame := n.txq[n.txHead]
-	n.txq[n.txHead] = nil
-	n.txHead++
-	if n.txHead == len(n.txq) {
-		n.txq = n.txq[:0]
-		n.txHead = 0
-	}
+	frame := n.txq.Pop()
 	if !n.link.Up() {
 		n.stats.TxNoCarrier++
 		n.frames.Put(frame)

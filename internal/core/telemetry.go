@@ -37,28 +37,23 @@ type SvcTelemetry struct {
 	haveFirst bool
 }
 
-// telemetryFor returns (allocating) the per-service telemetry record.
-func (n *NIC) telemetryFor(svc uint32) *SvcTelemetry {
-	tl, ok := n.telemetry[svc]
-	if !ok {
-		name := ""
-		if ep := n.endpoints[svc]; ep != nil {
-			name = fmt.Sprintf("svc%d", svc)
-		}
-		tl = &SvcTelemetry{
-			Svc:        svc,
-			Name:       name,
-			QueueDelay: stats.NewHistogram(),
-			rate:       stats.NewEWMA(0.05),
-		}
-		n.telemetry[svc] = tl
+// newTelemetry allocates ep's telemetry record on its first request.
+func newTelemetry(ep *Endpoint) *SvcTelemetry {
+	ep.tel = &SvcTelemetry{
+		Svc:        ep.Svc,
+		Name:       fmt.Sprintf("svc%d", ep.Svc),
+		QueueDelay: stats.NewHistogram(),
+		rate:       stats.NewEWMA(0.05),
 	}
-	return tl
+	return ep.tel
 }
 
 // noteArrival records a decoded request for a service.
-func (n *NIC) noteArrival(svc uint32) {
-	tl := n.telemetryFor(svc)
+func (n *NIC) noteArrival(ep *Endpoint) {
+	tl := ep.tel
+	if tl == nil {
+		tl = newTelemetry(ep)
+	}
 	tl.Arrivals++
 	now := n.sim.Now()
 	if tl.haveFirst && now > tl.lastAt {
@@ -73,7 +68,7 @@ func (n *NIC) noteArrival(svc uint32) {
 // noteDispatch records how a request reached a core and its queueing
 // delay.
 func (n *NIC) noteDispatch(req *inflight, kernel bool) {
-	tl := n.telemetryFor(req.svc)
+	tl := req.ep.tel
 	if kernel {
 		tl.ViaKernel++
 	} else {
@@ -89,20 +84,26 @@ func (n *NIC) noteDispatch(req *inflight, kernel bool) {
 
 // Telemetry returns the NIC's view of one service (nil if it has seen no
 // traffic).
-func (n *NIC) Telemetry(svc uint32) *SvcTelemetry { return n.telemetry[svc] }
+func (n *NIC) Telemetry(svc uint32) *SvcTelemetry {
+	if ep := n.endpoints[svc]; ep != nil {
+		return ep.tel
+	}
+	return nil
+}
 
 // TelemetryReport renders all services' telemetry, sorted by service ID —
 // what an operator would read through the kernel control channel.
 func (n *NIC) TelemetryReport() string {
-	ids := make([]int, 0, len(n.telemetry))
-	for id := range n.telemetry {
-		ids = append(ids, int(id))
+	var tls []*SvcTelemetry
+	for _, ep := range n.epOrder {
+		if ep.tel != nil {
+			tls = append(tls, ep.tel)
+		}
 	}
-	sort.Ints(ids)
+	sort.Slice(tls, func(i, j int) bool { return tls[i].Svc < tls[j].Svc })
 	var b strings.Builder
-	fmt.Fprintf(&b, "lauberhorn NIC telemetry (%d services)\n", len(ids))
-	for _, id := range ids {
-		tl := n.telemetry[uint32(id)]
+	fmt.Fprintf(&b, "lauberhorn NIC telemetry (%d services)\n", len(tls))
+	for _, tl := range tls {
 		p := tl.QueueDelay.Percentiles(0.5, 0.99)
 		fmt.Fprintf(&b, "  svc %-4d arrivals=%-7d fast=%-7d kernel=%-6d queued=%-6d dropped=%-4d rate=%.0f/s qdelay{p50=%v p99=%v}\n",
 			tl.Svc, tl.Arrivals, tl.Fast, tl.ViaKernel, tl.Queued, tl.Dropped,

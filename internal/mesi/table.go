@@ -6,14 +6,20 @@ import "math/bits"
 // replacing map[LineAddr]V on the coherence hot path. Directory entries
 // and backing lines are only ever created, never deleted, so linear
 // probing needs no tombstones; lookups are one multiply, a shift, and a
-// short probe over two parallel slices — no map header, no per-access
-// hashing interface, and working sets of a few hundred lines stay in L1.
+// short probe over one slice of entries — no map header, no per-access
+// hashing interface. Each entry packs its key, used flag and value
+// together, so a hit reads one cache line, not one per field.
 type addrTable[V any] struct {
-	keys  []LineAddr
-	vals  []V
-	used  []bool
-	n     int
-	shift uint
+	entries []tableEntry[V]
+	n       int
+	shift   uint
+}
+
+// tableEntry is one slot of an addrTable.
+type tableEntry[V any] struct {
+	key  LineAddr
+	used bool
+	val  V
 }
 
 const addrTableMinSize = 64 // power of two, comfortably above a host's control-line count
@@ -25,10 +31,8 @@ func newAddrTable[V any](sizeHint int) *addrTable[V] {
 		size *= 2
 	}
 	return &addrTable[V]{
-		keys:  make([]LineAddr, size),
-		vals:  make([]V, size),
-		used:  make([]bool, size),
-		shift: uint(64 - bits.TrailingZeros(uint(size))),
+		entries: make([]tableEntry[V], size),
+		shift:   uint(64 - bits.TrailingZeros(uint(size))),
 	}
 }
 
@@ -44,14 +48,15 @@ func (t *addrTable[V]) slot(a LineAddr) int {
 //
 //lhlint:hotpath
 func (t *addrTable[V]) get(a LineAddr) (V, bool) {
-	mask := len(t.keys) - 1
+	mask := len(t.entries) - 1
 	for i := t.slot(a); ; i = (i + 1) & mask {
-		if !t.used[i] {
+		e := &t.entries[i]
+		if !e.used {
 			var zero V
 			return zero, false
 		}
-		if t.keys[i] == a {
-			return t.vals[i], true
+		if e.key == a {
+			return e.val, true
 		}
 	}
 }
@@ -60,18 +65,19 @@ func (t *addrTable[V]) get(a LineAddr) (V, bool) {
 //
 //lhlint:hotpath
 func (t *addrTable[V]) put(a LineAddr, v V) {
-	if (t.n+1)*4 >= len(t.keys)*3 {
+	if (t.n+1)*4 >= len(t.entries)*3 {
 		t.grow()
 	}
-	mask := len(t.keys) - 1
+	mask := len(t.entries) - 1
 	for i := t.slot(a); ; i = (i + 1) & mask {
-		if !t.used[i] {
-			t.keys[i], t.vals[i], t.used[i] = a, v, true
+		e := &t.entries[i]
+		if !e.used {
+			*e = tableEntry[V]{key: a, used: true, val: v}
 			t.n++
 			return
 		}
-		if t.keys[i] == a {
-			t.vals[i] = v
+		if e.key == a {
+			e.val = v
 			return
 		}
 	}
@@ -79,16 +85,13 @@ func (t *addrTable[V]) put(a LineAddr, v V) {
 
 // grow doubles the table and rehashes every entry.
 func (t *addrTable[V]) grow() {
-	old := *t
-	size := len(old.keys) * 2
-	t.keys = make([]LineAddr, size)
-	t.vals = make([]V, size)
-	t.used = make([]bool, size)
+	old := t.entries
+	t.entries = make([]tableEntry[V], len(old)*2)
 	t.shift--
 	t.n = 0
-	for i, u := range old.used {
-		if u {
-			t.put(old.keys[i], old.vals[i])
+	for i := range old {
+		if e := &old[i]; e.used {
+			t.put(e.key, e.val)
 		}
 	}
 }
