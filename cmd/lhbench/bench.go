@@ -18,11 +18,12 @@ import (
 	"lauberhorn/internal/sim"
 )
 
-// benchSchema names the current BENCH_sim.json layout. v4 adds the
-// fluid section: event counts for the long-transfer background scenario
-// (experiments.FluidScenario) run per-packet and with fluid-flow
-// aggregation, whose >=5x event cut TestFluidAggregationReducesEvents
-// pins. v3 added the sharding section (per-shard-count wall time and
+// benchSchema names the current BENCH_sim.json layout. v4 added a fluid
+// section, the event counts of a long-transfer scenario run per-packet
+// and as fluid flows. That scenario is gone and the section is no longer
+// written, but the version stayed: v4 files recorded before the deletion
+// carry a "fluid" object that nothing reads, and encoding/json skips it.
+// v3 added the sharding section (per-shard-count wall time and
 // events/sec over the pinned e20 universe, with speedup vs serial) and
 // records the -shards override the experiment section ran under. v2
 // added the -benchreps sample count and restricted the totals to
@@ -59,22 +60,6 @@ type benchFile struct {
 	// (window-barrier overhead included) and the >=2.5x target needs
 	// >= 4 usable cores.
 	Sharding []benchShard `json:"sharding"`
-	// Fluid records the representation-switch scenario: the same
-	// long-transfer background workload run per-packet and with >=64 KiB
-	// transfers as fluid flows. Both counts are deterministic (pure
-	// functions of the scenario's fixed seeds), so the event cut is a
-	// property of the code, not the host.
-	Fluid benchFluid `json:"fluid"`
-}
-
-// benchFluid is the fluid-aggregation section: identical delivered
-// bytes, and the per-packet/fluid event ratio the representation switch
-// buys on the long-transfer scenario.
-type benchFluid struct {
-	PacketEvents uint64  `json:"packet_events"`
-	FluidEvents  uint64  `json:"fluid_events"`
-	EventCutX    float64 `json:"event_cut_x"`
-	Bytes        int64   `json:"bytes"`
 }
 
 // benchShard is one sharding-throughput row.
@@ -198,21 +183,6 @@ func benchSharding(reps int) []benchShard {
 	return out
 }
 
-// benchFluidSection runs the long-transfer scenario per-packet and
-// fluid and records the event cut. One rep suffices: both runs are
-// deterministic, so the numbers carry no host noise. Delivered-byte
-// equality between the two modes is pinned by
-// TestFluidAggregationReducesEvents, not re-checked here.
-func benchFluidSection() benchFluid {
-	pktEvents, _ := experiments.FluidScenario(false)
-	fluEvents, fluBytes := experiments.FluidScenario(true)
-	out := benchFluid{PacketEvents: pktEvents, FluidEvents: fluEvents, Bytes: fluBytes}
-	if fluEvents > 0 {
-		out.EventCutX = float64(pktEvents) / float64(fluEvents)
-	}
-	return out
-}
-
 // buildBench measures the queue microbenchmarks and renders results into
 // the BENCH_sim.json shape. Experiments that fired no simulator events
 // (the analytic tables) are listed but kept out of the totals: they would
@@ -230,7 +200,6 @@ func buildBench(workers, reps, shards int, results []experiments.Result) benchFi
 		Shards:  shards,
 	}
 	f.Sharding = benchSharding(reps)
-	f.Fluid = benchFluidSection()
 	// The queue microbenchmarks follow the same min-of-N (best-of-N for
 	// throughput) discipline as the experiment wall times: a single sample
 	// on a shared host can swing ±20% and turn the ratchet into a coin

@@ -296,8 +296,13 @@ type NIC struct {
 	// scan and the telemetry report.
 	epOrder []*Endpoint
 	// starved counts the endpoints with queued work and no poller
-	// (Endpoint.starved). pushReq, popReq, addWaiter and dropWaiter keep
-	// it, so the retire policy asks for it without a scan.
+	// (Endpoint.starved), so the retire policy asks for it without a
+	// scan. A poller never parks on an endpoint with queued work: admit
+	// hands a request to a waiting poller before it would queue one, and
+	// answerLoad parks a load (defer_, the only caller of addWaiter) only
+	// on an empty queue, which addWaiter asserts. So an endpoint is
+	// starved exactly when it has queued work, and pushReq and popReq
+	// keep the count from the queue length alone.
 	starved int
 
 	// Client (outbound RPC) state.
@@ -437,12 +442,11 @@ func (n *NIC) endpointOn(coreID int, svc uint32) *Endpoint {
 	return n.endpoints[svc]
 }
 
-// pushReq queues req on ep, counting ep as starved if it gains work with
-// no poller.
+// pushReq queues req on ep, counting ep as starved if it gains work.
 //
 //lhlint:hotpath
 func (n *NIC) pushReq(ep *Endpoint, req *inflight) {
-	if ep.queue.Len() == 0 && len(ep.waiters) == 0 {
+	if ep.queue.Len() == 0 {
 		n.starved++
 	}
 	ep.queue.Push(req)
@@ -454,25 +458,25 @@ func (n *NIC) pushReq(ep *Endpoint, req *inflight) {
 //lhlint:hotpath
 func (n *NIC) popReq(ep *Endpoint) *inflight {
 	req := ep.queue.Pop()
-	if ep.queue.Len() == 0 && len(ep.waiters) == 0 {
+	if ep.queue.Len() == 0 {
 		n.starved--
 	}
 	return req
 }
 
-// addWaiter parks p on ep, uncounting ep as starved if p is its first
-// poller.
+// addWaiter parks p on ep. It panics if ep has queued work: a load that
+// finds work takes it, so a parked poller beside queued work would break
+// the invariant the starved count rests on.
 //
 //lhlint:hotpath
 func (n *NIC) addWaiter(ep *Endpoint, p *pendingLoad) {
-	if len(ep.waiters) == 0 && ep.queue.Len() > 0 {
-		n.starved--
+	if ep.queue.Len() > 0 {
+		panicParkWithWork(ep.Svc)
 	}
 	ep.waiters = append(ep.waiters, p)
 }
 
-// dropWaiter unparks p from ep, counting ep as starved if p was its last
-// poller and work is queued.
+// dropWaiter unparks p from ep.
 //
 //lhlint:hotpath
 func (n *NIC) dropWaiter(ep *Endpoint, p *pendingLoad) {
@@ -484,9 +488,6 @@ func (n *NIC) dropWaiter(ep *Endpoint, p *pendingLoad) {
 			ep.waiters = ws[:len(ws)-1]
 			break
 		}
-	}
-	if len(ep.waiters) == 0 && ep.queue.Len() > 0 {
-		n.starved++
 	}
 }
 
@@ -851,11 +852,16 @@ func (n *NIC) fireTryAgain(p *pendingLoad) {
 	respond(n.lineScr)
 }
 
-// panicDuplicatePending, panicPendingBusy, panicStillOwes,
-// panicNoInflight and panicNoResponse keep fmt boxing off the hot paths
-// that check the per-core invariants; none of them returns.
+// panicDuplicatePending, panicPendingBusy, panicParkWithWork,
+// panicStillOwes, panicNoInflight and panicNoResponse keep fmt boxing off
+// the hot paths that check the per-core and per-endpoint invariants; none
+// of them returns.
 func panicDuplicatePending(addr mesi.LineAddr) {
 	panic(fmt.Sprintf("core: duplicate pending load on %#x", uint64(addr)))
+}
+
+func panicParkWithWork(svc uint32) {
+	panic(fmt.Sprintf("core: poller parked on service %d with queued work", svc))
 }
 
 func panicPendingBusy(coreID int) {
@@ -1219,7 +1225,7 @@ func (n *NIC) admit(dec *decoded) {
 	n.pushReq(ep, req)
 	ep.tel.Queued++
 	n.stats.Backlog.Record(int64(ep.queue.Len()))
-	if ep.queue.Len() == 1 && len(ep.waiters) == 0 && n.NotifyOS != nil {
+	if ep.queue.Len() == 1 && n.NotifyOS != nil {
 		n.stats.SoftNotify++
 		n.NotifyOS(ep.Svc)
 	}

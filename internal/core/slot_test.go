@@ -129,12 +129,20 @@ func TestCoreSlotPanics(t *testing.T) {
 }
 
 // TestStarvedCountTransitions drives one endpoint through each update of
-// the starved count. Dispatch never parks a poller on an endpoint with
-// queued work, so the waiter-side updates are reached only here.
+// the starved count, and checks that a poller cannot park beside queued
+// work: dispatch never does so, and the count relies on it.
 func TestStarvedCountTransitions(t *testing.T) {
 	n := NewNIC(sim.New(1), DefaultConfig(serverEP), 1)
 	ep := n.RegisterService(&rpc.ServiceDesc{ID: 1, Methods: []rpc.MethodDesc{{ID: 1}}}, 100, 9000, 0)
 	p := &pendingLoad{ep: ep}
+	parkWithWork := func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "queued work") {
+				t.Fatalf("poller parked beside queued work: recovered %v", r)
+			}
+		}()
+		n.addWaiter(ep, p)
+	}
 	steps := []struct {
 		name string
 		do   func()
@@ -142,19 +150,21 @@ func TestStarvedCountTransitions(t *testing.T) {
 	}{
 		{"push with no poller", func() { n.pushReq(ep, &inflight{}) }, 1},
 		{"push again", func() { n.pushReq(ep, &inflight{}) }, 1},
-		{"poller parks", func() { n.addWaiter(ep, p) }, 0},
-		{"pop under a poller", func() { n.popReq(ep) }, 0},
-		{"poller leaves", func() { n.dropWaiter(ep, p) }, 1},
+		{"poller parks with queued work", parkWithWork, 1},
+		{"pop with work left", func() { n.popReq(ep) }, 1},
 		{"last pop", func() { n.popReq(ep) }, 0},
 		{"poller parks on an empty queue", func() { n.addWaiter(ep, p) }, 0},
-		{"push under a poller", func() { n.pushReq(ep, &inflight{}) }, 0},
-		{"poller leaves queued work", func() { n.dropWaiter(ep, p) }, 1},
+		{"poller leaves", func() { n.dropWaiter(ep, p) }, 0},
+		{"push after the poller left", func() { n.pushReq(ep, &inflight{}) }, 1},
 	}
 	for _, st := range steps {
 		st.do()
 		if n.starved != st.want {
 			t.Fatalf("after %s: starved count %d, want %d", st.name, n.starved, st.want)
 		}
+	}
+	if ep.Pollers() != 0 {
+		t.Fatalf("%d pollers left parked", ep.Pollers())
 	}
 }
 

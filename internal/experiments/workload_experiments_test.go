@@ -111,26 +111,3 @@ func TestE24Claims(t *testing.T) {
 	}
 	t.Logf("\n%s", tb)
 }
-
-// TestFluidAggregationReducesEvents is the representation-switch
-// acceptance claim at scenario scale: on the long-transfer background
-// workload the fluid fast path fires at least 5x fewer simulator events
-// than per-packet execution while delivering byte-identical payloads —
-// the number lhbench snapshots into BENCH_sim.json.
-func TestFluidAggregationReducesEvents(t *testing.T) {
-	pktEvents, pktBytes := FluidScenario(false)
-	fluEvents, fluBytes := FluidScenario(true)
-	if pktBytes == 0 || pktBytes != fluBytes {
-		t.Fatalf("delivered bytes differ: %d per-packet vs %d fluid", pktBytes, fluBytes)
-	}
-	if fluEvents*5 > pktEvents {
-		t.Fatalf("fluid scenario fired %d events vs %d per-packet — below the 5x cut", fluEvents, pktEvents)
-	}
-	// Determinism: the scenario is a pure function of its fixed seeds.
-	e2, b2 := FluidScenario(true)
-	if e2 != fluEvents || b2 != fluBytes {
-		t.Fatalf("fluid scenario not deterministic: (%d,%d) vs (%d,%d)", e2, b2, fluEvents, fluBytes)
-	}
-	t.Logf("per-packet %d events, fluid %d events (%.1fx), %d bytes",
-		pktEvents, fluEvents, float64(pktEvents)/float64(fluEvents), pktBytes)
-}

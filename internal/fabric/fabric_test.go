@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -250,5 +251,55 @@ func TestLinkOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// relay is a port that hands each delivered frame to a function.
+type relay func([]byte)
+
+func (r relay) DeliverFrame(f []byte) { r(f) }
+
+// TestLinkInflightConstantDepth holds one direction at three frames in
+// flight for 2,000 deliveries by sending a new frame as each one
+// arrives. The in-flight queue never drains, so this is the case where a
+// queue that rewinds only when empty grows its array with every send:
+// frames must still arrive in send order, and the queue's backing array
+// must stay within twice the peak depth.
+func TestLinkInflightConstantDepth(t *testing.T) {
+	const depth, total = 3, 2000
+	s := sim.New(1)
+	l := NewLink(s, Net100G)
+	sent, peak := 0, 0
+	send := func() {
+		f := make([]byte, 64)
+		binary.LittleEndian.PutUint64(f, uint64(sent))
+		sent++
+		l.Send(0, f)
+		peak = max(peak, l.inflight[0].Len())
+	}
+	var got []uint64
+	l.Attach(&sink{s: s}, relay(func(f []byte) {
+		got = append(got, binary.LittleEndian.Uint64(f))
+		if sent < total {
+			send()
+		}
+	}))
+	for range depth {
+		send()
+	}
+	s.Run()
+	if len(got) != total {
+		t.Fatalf("delivered %d frames, want %d", len(got), total)
+	}
+	for i, seq := range got {
+		if seq != uint64(i) {
+			t.Fatalf("delivery %d carried frame %d: out of order", i, seq)
+		}
+	}
+	if peak != depth {
+		t.Fatalf("peak in-flight depth %d, want %d", peak, depth)
+	}
+	if c := l.inflight[0].Cap(); c > 2*peak {
+		t.Fatalf("in-flight queue capacity %d after %d deliveries at depth %d, want <= %d", c, total, peak, 2*peak)
 	}
 }

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 
+	"lauberhorn/internal/fifo"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/sim/shard"
 	"lauberhorn/internal/wire"
@@ -124,9 +125,9 @@ type Link struct {
 	// inflight[i] queues frames sent from side i, oldest first; arrival
 	// times per direction are non-decreasing and the simulator fires
 	// equal-time events in schedule order, so head-pop order matches
-	// delivery order exactly.
-	inflight [2][]delivery
-	inHead   [2]int
+	// delivery order exactly. A carrier cut withdraws frames from the
+	// tail (purgeQueued).
+	inflight [2]fifo.Queue[delivery]
 	// deliverFn[i] pops and delivers the head of inflight[i]; bound once
 	// per link so Send allocates no per-frame closure.
 	deliverFn [2]func()
@@ -157,10 +158,6 @@ type Link struct {
 	// Transports re-enter via Inject, which skips the tap. Func-typed on
 	// purpose: the hot path calls it without interface dispatch.
 	tap [2]func([]byte) bool
-	// flows[i] is direction i's fluid-flow scheduler, allocated on the
-	// first SendFlow so packet-only links pay a nil check at most; see
-	// flow.go.
-	flows [2]*flowState
 	// pool[i] is the frame free list of side i's Sim (SetPool). Side i is
 	// the terminal consumer of every frame it drops — tail drops, drops
 	// for lack of carrier, and purges at a carrier cut — and Puts each
@@ -320,17 +317,8 @@ func (l *Link) send(from int, frame []byte) {
 		l.pool[from].Put(frame)
 		return
 	}
-	if th := l.params.ECNThreshold; th > 0 {
-		backlog := start - now
-		if fs := l.flows[from]; fs != nil {
-			// Fluid flows never delay a frame (packets keep strict
-			// priority) but their queued bytes are congestion all the
-			// same, so they count toward the marking decision.
-			backlog += fs.backlog(now)
-		}
-		if backlog > th && wire.MarkCE(frame) {
-			l.marked[from]++
-		}
+	if th := l.params.ECNThreshold; th > 0 && start-now > th && wire.MarkCE(frame) {
+		l.marked[from]++
 	}
 	ser := sim.PerByte(len(frame), l.params.Bandwidth)
 	txEnd := start + ser
@@ -348,13 +336,13 @@ func (l *Link) send(from int, frame []byte) {
 		return
 	}
 	if k := l.chanKey[from]; k != 0 {
-		l.inflight[from] = append(l.inflight[from], delivery{deliver: l.deliverTo[1-from], frame: frame, txStart: start})
+		l.inflight[from].Push(delivery{deliver: l.deliverTo[1-from], frame: frame, txStart: start})
 		l.sims[from].AtKeyed(arrive, k|l.chanSeq[from], "link-deliver", l.deliverFn[from])
 		l.chanSeq[from]++
 		return
 	}
 	ev := l.sims[from].At(arrive, "link-deliver", l.deliverFn[from])
-	l.inflight[from] = append(l.inflight[from], delivery{deliver: l.deliverTo[1-from], frame: frame, txStart: start, ev: ev})
+	l.inflight[from].Push(delivery{deliver: l.deliverTo[1-from], frame: frame, txStart: start, ev: ev})
 }
 
 // deliverHead hands the oldest in-flight frame of one direction to the
@@ -364,18 +352,7 @@ func (l *Link) send(from int, frame []byte) {
 //
 //lhlint:hotpath
 func (l *Link) deliverHead(from int) {
-	q := l.inflight[from]
-	h := l.inHead[from]
-	d := q[h]
-	q[h] = delivery{}
-	h++
-	if h == len(q) {
-		// Queue drained: rewind so the backing array is reused.
-		l.inflight[from] = q[:0]
-		l.inHead[from] = 0
-	} else {
-		l.inHead[from] = h
-	}
+	d := l.inflight[from].Pop()
 	d.deliver(d.frame)
 }
 
@@ -414,18 +391,9 @@ func (l *Link) SetUpSide(side int, up bool) {
 		panicBadSide(side)
 	}
 	wasDown := l.down[side]
-	if fs := l.flows[side]; fs != nil && !up && !wasDown {
-		// Settle fluid progress up to the cut while the carrier replica
-		// still reads up; the remainders pause intact (the bits never
-		// left the sender), so flow bytes are conserved across faults.
-		fs.carrierDown()
-	}
 	l.down[side] = !up
 	if !up && !wasDown {
 		l.purgeQueued(side)
-	}
-	if fs := l.flows[side]; fs != nil && up && wasDown {
-		fs.carrierUp()
 	}
 }
 
@@ -445,27 +413,15 @@ func (l *Link) purgeQueued(from int) {
 	if l.chanKey[from] != 0 || l.xchan[from] != nil {
 		return
 	}
-	q := l.inflight[from]
+	q := &l.inflight[from]
 	now := l.sims[from].Now()
-	end := len(q)
-	for end > l.inHead[from] && q[end-1].txStart > now {
-		end--
-		d := q[end]
-		q[end] = delivery{}
+	for q.Len() > 0 && q.Back().txStart > now {
+		d := q.PopBack()
 		l.sims[from].Cancel(d.ev)
 		l.dropped[from]++
 		l.pool[from].Put(d.frame)
 		l.txIdle[from] = d.txStart
 	}
-	if end == len(q) {
-		return
-	}
-	if end == l.inHead[from] {
-		l.inflight[from] = q[:0]
-		l.inHead[from] = 0
-		return
-	}
-	l.inflight[from] = q[:end]
 }
 
 // Up reports whether the link currently has carrier. On a split link this

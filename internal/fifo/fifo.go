@@ -1,5 +1,6 @@
 // Package fifo provides the head-indexed FIFO queue the model's receive
-// rings, request queues and wait queues share.
+// rings, request and wait queues, link in-flight frames, shard channels
+// and transport hold queues share.
 //
 // A queue pops by advancing a head index into its slice instead of
 // reslicing with q = q[1:], which would strand the popped prefix and
@@ -10,7 +11,10 @@
 // and a queue that never drains stays within twice its peak depth.
 //
 // Determinism invariants: a queue is a plain slice with no hashing,
-// randomness or time; items leave in exactly the order they entered.
+// randomness or time; items leave in exactly the order they entered,
+// with one exception. PopBack takes the newest item back from the tail,
+// for a producer that must withdraw what it queued last: a link purging
+// the frames a carrier cut caught before their serialization began.
 package fifo
 
 // Queue is a FIFO of T. The zero value is an empty queue ready to use.
@@ -53,6 +57,26 @@ func (q *Queue[T]) Pop() T {
 	var zero T
 	q.buf[q.head] = zero
 	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return v
+}
+
+// Back returns the newest item without removing it. The queue must not
+// be empty.
+func (q *Queue[T]) Back() T { return q.buf[len(q.buf)-1] }
+
+// PopBack removes and returns the newest item, the one exception to FIFO
+// order. The queue must not be empty. The vacated slot is zeroed, and a
+// queue emptied from the back rewinds like one emptied by Pop.
+func (q *Queue[T]) PopBack() T {
+	last := len(q.buf) - 1
+	v := q.buf[last]
+	var zero T
+	q.buf[last] = zero
+	q.buf = q.buf[:last]
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0

@@ -56,3 +56,42 @@ func TestQueuePeek(t *testing.T) {
 		t.Fatalf("peek after pop %d", q.Peek())
 	}
 }
+
+// TestQueuePopBack checks Back and PopBack take the newest item, leave
+// the rest in FIFO order, and rewind a queue emptied from the back.
+func TestQueuePopBack(t *testing.T) {
+	var q Queue[int]
+	for i := 1; i <= 4; i++ {
+		q.Push(i)
+	}
+	q.Pop() // 2, 3, 4 remain behind a popped prefix
+	if q.Back() != 4 || q.PopBack() != 4 || q.Back() != 3 || q.Len() != 2 {
+		t.Fatalf("after one PopBack: back %d len %d", q.Back(), q.Len())
+	}
+	q.Push(5)
+	for _, want := range []int{2, 3, 5} {
+		if got := q.Pop(); got != want {
+			t.Fatalf("popped %d, want %d", got, want)
+		}
+	}
+
+	var p Queue[*int]
+	vals := []int{1, 2, 3}
+	for i := range vals {
+		p.Push(&vals[i])
+	}
+	p.Pop()
+	for want := 2; want >= 1; want-- {
+		if got := p.PopBack(); got != &vals[want] {
+			t.Fatalf("PopBack returned item %d, want %d", *got-1, want)
+		}
+	}
+	if p.Len() != 0 || p.head != 0 || len(p.buf) != 0 {
+		t.Fatalf("queue emptied from the back did not rewind (head %d, len %d)", p.head, len(p.buf))
+	}
+	for i, v := range p.buf[:cap(p.buf)] {
+		if v != nil {
+			t.Fatalf("slot %d still holds an item", i)
+		}
+	}
+}

@@ -30,6 +30,7 @@ package shard
 import (
 	"fmt"
 
+	"lauberhorn/internal/fifo"
 	"lauberhorn/internal/sim"
 )
 
@@ -56,10 +57,9 @@ type Channel struct {
 	out []msg // sender-side, drained at each barrier
 
 	recv      *sim.Sim
-	deliver   func([]byte) // receiving link side's delivery sink
-	deliverEv func()       // prebound event callback: pop head, deliver
-	q         [][]byte     // receiver-side FIFO of injected frames
-	head      int
+	deliver   func([]byte)       // receiving link side's delivery sink
+	deliverEv func()             // prebound event callback: pop head, deliver
+	q         fifo.Queue[[]byte] // receiver-side FIFO of injected frames
 }
 
 // NewChannel returns a channel with the given key base (which must carry
@@ -73,15 +73,7 @@ func NewChannel(base uint64, lookahead sim.Time, recv *sim.Sim, deliver func([]b
 		panic("shard: channel lookahead must be positive")
 	}
 	c := &Channel{base: base, lookahead: lookahead, recv: recv, deliver: deliver}
-	c.deliverEv = func() {
-		f := c.q[c.head]
-		c.q[c.head] = nil
-		c.head++
-		if c.head == len(c.q) {
-			c.q, c.head = c.q[:0], 0
-		}
-		c.deliver(f)
-	}
+	c.deliverEv = func() { c.deliver(c.q.Pop()) }
 	return c
 }
 
@@ -109,7 +101,7 @@ func (c *Channel) inject(windowEnd sim.Time) {
 			panic(fmt.Sprintf("shard: frame due at %v on a channel with lookahead %v, before the end %v of the window it was sent in",
 				m.at, c.lookahead, windowEnd))
 		}
-		c.q = append(c.q, m.frame)
+		c.q.Push(m.frame)
 		c.recv.AtKeyed(m.at, m.key, "xshard-deliver", c.deliverEv)
 		m.frame = nil
 	}

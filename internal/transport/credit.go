@@ -2,6 +2,7 @@ package transport
 
 import (
 	"lauberhorn/internal/fabric"
+	"lauberhorn/internal/fifo"
 	"lauberhorn/internal/rpc"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/wire"
@@ -78,8 +79,7 @@ type creditSend struct {
 	t                   *creditT
 	dst                 wire.Endpoint
 	want, sent, granted uint64
-	held                [][]byte
-	heldHead            int
+	held                fifo.Queue[[]byte]
 	rtsArmed            bool
 	fire                func()
 }
@@ -131,11 +131,11 @@ func (t *creditT) onTx(frame []byte) bool {
 		cs = t.newSend(&t.txDg)
 	}
 	cs.want++
-	if cs.heldHead >= len(cs.held) && cs.sent < cs.granted+creditW0 {
+	if cs.held.Len() == 0 && cs.sent < cs.granted+creditW0 {
 		cs.sent++
 		return true
 	}
-	cs.held = append(cs.held, frame)
+	cs.held.Push(frame)
 	t.st.HeldFrames++
 	cs.requestCredit()
 	return false
@@ -166,7 +166,7 @@ func (cs *creditSend) requestCredit() {
 // RTS/GRANT frames; it disarms itself when the hold queue drains.
 func (cs *creditSend) refresh() {
 	cs.rtsArmed = false
-	if cs.heldHead >= len(cs.held) {
+	if cs.held.Len() == 0 {
 		return
 	}
 	cs.rtsArmed = true
@@ -278,16 +278,9 @@ func (t *creditT) onGrant(g uint64) {
 	if g > cs.granted {
 		cs.granted = g
 	}
-	for cs.heldHead < len(cs.held) && cs.sent < cs.granted+creditW0 {
-		f := cs.held[cs.heldHead]
-		cs.held[cs.heldHead] = nil
-		cs.heldHead++
+	for cs.held.Len() > 0 && cs.sent < cs.granted+creditW0 {
 		cs.sent++
-		t.link.Inject(t.side, f)
-	}
-	if cs.heldHead >= len(cs.held) {
-		cs.held = cs.held[:0]
-		cs.heldHead = 0
+		t.link.Inject(t.side, cs.held.Pop())
 	}
 }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"lauberhorn/internal/fabric"
+	"lauberhorn/internal/fifo"
 	"lauberhorn/internal/rpc"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/wire"
@@ -65,8 +66,7 @@ type ecnConn struct {
 	acked       int // responses in the current observation window
 	ackedMarked int // of which carried a congestion signal
 	wndLen      int // observation window length, fixed at window start
-	held        [][]byte
-	heldHead    int
+	held        fifo.Queue[[]byte]
 	lastRx      sim.Time
 	timerArmed  bool
 	fire        func()
@@ -116,12 +116,12 @@ func (t *ecnT) admit(frame []byte) bool {
 	if c == nil {
 		c = t.newConn(t.txDg.IP.Dst.Uint32())
 	}
-	if c.heldHead >= len(c.held) && c.inflight < int(c.wnd) {
+	if c.held.Len() == 0 && c.inflight < int(c.wnd) {
 		c.inflight++
 		c.armTimer()
 		return true
 	}
-	c.held = append(c.held, frame)
+	c.held.Push(frame)
 	t.st.HeldFrames++
 	c.armTimer()
 	return false
@@ -158,7 +158,7 @@ func (c *ecnConn) reclaim() {
 		c.resetWndLen()
 	}
 	c.release()
-	if c.inflight > 0 || c.heldHead < len(c.held) {
+	if c.inflight > 0 || c.held.Len() > 0 {
 		c.armTimer()
 	}
 }
@@ -184,16 +184,9 @@ func (c *ecnConn) resetWndLen() {
 //
 //lhlint:hotpath
 func (c *ecnConn) release() {
-	for c.heldHead < len(c.held) && c.inflight < int(c.wnd) {
-		f := c.held[c.heldHead]
-		c.held[c.heldHead] = nil
-		c.heldHead++
+	for c.held.Len() > 0 && c.inflight < int(c.wnd) {
 		c.inflight++
-		c.t.link.Inject(c.t.side, f)
-	}
-	if c.heldHead >= len(c.held) {
-		c.held = c.held[:0]
-		c.heldHead = 0
+		c.t.link.Inject(c.t.side, c.held.Pop())
 	}
 }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"lauberhorn/internal/fabric"
+	"lauberhorn/internal/fifo"
 	"lauberhorn/internal/rpc"
 	"lauberhorn/internal/sim"
 	"lauberhorn/internal/wire"
@@ -62,11 +63,10 @@ type retryT struct {
 	kept wire.FramePool
 
 	// responder state: request lifecycle and cached responses, with a
-	// FIFO ring bounding the done set.
-	seen     map[reqKey]retryDup
-	cache    map[reqKey][]byte
-	doneRing []reqKey
-	doneHead int
+	// FIFO bounding the done set.
+	seen  map[reqKey]retryDup
+	cache map[reqKey][]byte
+	done  fifo.Queue[reqKey]
 }
 
 // retryPend is one tracked outbound request: a master copy of the frame
@@ -256,26 +256,18 @@ func (t *retryT) cacheResponse(frame []byte) {
 	}
 	t.seen[k] = dupDone
 	t.cache[k] = t.kept.Copy(frame)
-	t.doneRing = append(t.doneRing, k)
-	if len(t.doneRing)-t.doneHead > retryDoneCap {
-		t.evictDone()
+	t.done.Push(k)
+	if t.done.Len() > retryDoneCap {
+		t.evictDone(t.done.Pop())
 	}
 }
 
-// evictDone retires the oldest done entry and compacts the ring once
-// the dead prefix reaches the cap.
-func (t *retryT) evictDone() {
-	k := t.doneRing[t.doneHead]
-	t.doneRing[t.doneHead] = reqKey{}
-	t.doneHead++
+// evictDone retires a done entry: its cached response and its
+// lifecycle state.
+func (t *retryT) evictDone(k reqKey) {
 	if buf, ok := t.cache[k]; ok {
 		t.kept.Put(buf)
 		delete(t.cache, k)
 	}
 	delete(t.seen, k)
-	if t.doneHead >= retryDoneCap {
-		n := copy(t.doneRing, t.doneRing[t.doneHead:])
-		t.doneRing = t.doneRing[:n]
-		t.doneHead = 0
-	}
 }

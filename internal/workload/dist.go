@@ -4,10 +4,8 @@
 // modelled on the characterization the paper cites [23] ("the great
 // majority of RPC requests and responses are small"), Zipf service
 // popularity, open- and closed-loop client generators that drive a
-// server over a fabric.Link and collect latency histograms, service
-// dependency DAG specs (DAG) the cluster builder lowers onto hosts, and
-// bulk background-transfer sources (BulkSource) that switch from
-// per-packet to fluid-flow transmission above a size threshold.
+// server over a fabric.Link and collect latency histograms, and service
+// dependency DAG specs (DAG) the cluster builder lowers onto hosts.
 //
 // Determinism invariants: all randomness comes from seeded sim.RNG
 // streams. A generator with Config.Seed set draws a private stream that
