@@ -44,7 +44,7 @@ type benchFile struct {
 	// Reps is the -benchreps sample count; per-experiment wall times are
 	// the minimum over Reps runs.
 	Reps int `json:"reps"`
-	// Shards is the -shards override the experiment section ran under
+	// Shards is the -shards option the experiment section ran under
 	// (0 = serial). Tables are byte-identical either way; only wall
 	// times can differ.
 	Shards      int               `json:"shards"`
@@ -52,7 +52,7 @@ type benchFile struct {
 	Experiments []benchExperiment `json:"experiments"`
 	Totals      benchTotals       `json:"totals"`
 	// Sharding times the pinned e20 universe (experiments.E20Spec) at
-	// each shard count the experiment sweeps, on this host. Results are
+	// each of experiments.E20ShardCounts, on this host. Results are
 	// identical across rows by construction (pinned by TestE20Claims);
 	// the rows record what the identical runs cost. Speedup is relative
 	// to the serial row and is bounded by the "cpus" field: shard
@@ -153,7 +153,7 @@ func benchFanOut() (eventsPerSec float64) {
 // benchSharding times the pinned e20 universe at each shard count,
 // best-of-reps per row. The build is outside the timed region (it is
 // identical across modes); the timed region is exactly the RunMeasured
-// the e20 table pins.
+// TestE20Claims pins.
 func benchSharding(reps int) []benchShard {
 	var out []benchShard
 	for _, shards := range experiments.E20ShardCounts() {

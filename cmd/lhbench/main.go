@@ -142,7 +142,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lhbench: -shards must be >= 0, got %d\n", *shards)
 		os.Exit(1)
 	}
-	experiments.SetShards(*shards)
 
 	tr, ok := transport.ByName(strings.ToLower(*transportName))
 	if !ok {
@@ -150,7 +149,6 @@ func main() {
 			*transportName, transportNames())
 		os.Exit(1)
 	}
-	experiments.SetTransport(tr.Kind)
 
 	selected, err := experiments.Select(*run)
 	if err != nil {
@@ -176,7 +174,10 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	runner := &experiments.Runner{Workers: *parallel}
+	runner := &experiments.Runner{
+		Workers: *parallel,
+		Options: experiments.Options{Shards: *shards, Transport: tr.Kind},
+	}
 	start := time.Now()
 
 	var results []experiments.Result

@@ -12,7 +12,7 @@
 // its implementation; the registry ships Lauberhorn, Bypass, Kernel,
 // KernelEnzian, and Hybrid — Lauberhorn with the §6 4KiB DMA fallback),
 // internal/cluster for the declarative multi-host topology layer
-// (fan-in, incast, mixed-stack, and multi-tier spine-leaf/ring fabric
+// (fan-in, incast, mixed-stack, and multi-tier spine-leaf fabric
 // scenarios as data — with deterministic ECMP, link contention, and a
 // fault-injection schedule — every host resolved through the registry),
 // internal/experiments for the per-figure reproductions, cmd/ for the

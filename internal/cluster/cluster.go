@@ -180,8 +180,8 @@ type ClientSpec struct {
 
 // FabricSpec selects the switch fabric joining the machines. The zero
 // value keeps the legacy shapes: a single learning switch (or, with
-// Spec.Direct, a point-to-point link). Setting Spines or RingSwitches
-// builds a multi-tier routed fabric via fabric.NewTopology: statically
+// Spec.Direct, a point-to-point link). Setting Spines builds a
+// multi-tier routed fabric via fabric.NewTopology: statically
 // programmed FDBs (no flooding), deterministic ECMP across spine
 // uplinks, and per-link contention.
 type FabricSpec struct {
@@ -196,10 +196,8 @@ type FabricSpec struct {
 	PodLeaves int
 	// LeafPorts is how many machines (clients and hosts, in attach
 	// order: clients first, then hosts, each in spec order) share one
-	// leaf or ring switch. Required for multi-tier fabrics.
+	// leaf. Required for multi-tier fabrics.
 	LeafPorts int
-	// RingSwitches >= 3 builds a K-switch ring instead of a Clos.
-	RingSwitches int
 	// Uplink parameterizes inter-switch links (zero = Spec.Net).
 	Uplink fabric.NetParams
 	// ECMPSeed salts the switches' flow hashing; zero derives it from
@@ -210,14 +208,11 @@ type FabricSpec struct {
 
 // multiTier reports whether the spec asks for a routed multi-switch
 // fabric.
-func (f FabricSpec) multiTier() bool { return f.Spines > 0 || f.RingSwitches > 0 }
+func (f FabricSpec) multiTier() bool { return f.Spines > 0 }
 
 // leaves returns how many access switches the fabric will have for n
 // machines.
 func (f FabricSpec) leaves(n int) int {
-	if f.RingSwitches > 0 {
-		return f.RingSwitches
-	}
 	return (n + f.LeafPorts - 1) / f.LeafPorts
 }
 
@@ -243,10 +238,9 @@ const (
 //
 // Target resolution for link faults (FaultLinkDown, FaultLinkFlap):
 // Machine, when non-empty, names a host or client whose access link is
-// the target. Otherwise Leaf/Spine name a spine-leaf uplink, or — in a
-// ring fabric — Leaf names ring segment Leaf→Leaf+1.
+// the target. Otherwise Leaf/Spine name a spine-leaf uplink.
 //
-// Target resolution for FaultDrain: Leaf >= 0 names a leaf/ring switch
+// Target resolution for FaultDrain: Leaf >= 0 names a leaf switch
 // (the single star switch counts as leaf 0); Leaf < 0 drains spine
 // Spine.
 type FaultSpec struct {
@@ -309,8 +303,6 @@ func (sp *Spec) fabricKind() string {
 	switch {
 	case sp.Direct:
 		return "direct"
-	case sp.Fabric.RingSwitches > 0:
-		return "ring"
 	case sp.Fabric.Spines > 0:
 		return "spineleaf"
 	default:
@@ -326,9 +318,6 @@ func (sp *Spec) fabricInfo(attachIdx int) stackdrv.FabricInfo {
 	case "direct":
 	case "star":
 		info.Tiers = 1
-	case "ring":
-		info.Tiers = 1
-		info.Leaf = attachIdx / sp.Fabric.LeafPorts
 	case "spineleaf":
 		info.Tiers = 2
 		if sp.Fabric.Cores > 0 {
@@ -567,21 +556,17 @@ func validateDist(d any) error {
 	return nil
 }
 
-// validateFabric checks the FabricSpec against the machine population.
+// validateFabric checks the FabricSpec's shape.
 func (sp *Spec) validateFabric() error {
 	f := sp.Fabric
 	if !f.multiTier() {
 		if f != (FabricSpec{}) {
-			return fmt.Errorf("cluster: FabricSpec sets parameters but neither Spines nor RingSwitches")
+			return fmt.Errorf("cluster: FabricSpec sets parameters but no Spines")
 		}
 		return nil
 	}
 	if sp.Direct {
 		return fmt.Errorf("cluster: Direct topology cannot carry a multi-tier fabric")
-	}
-	if f.Spines > 0 && f.RingSwitches > 0 {
-		return fmt.Errorf("cluster: fabric cannot be both spine-leaf (%d spines) and ring (%d switches)",
-			f.Spines, f.RingSwitches)
 	}
 	if f.LeafPorts <= 0 {
 		return fmt.Errorf("cluster: multi-tier fabric needs LeafPorts > 0")
@@ -592,19 +577,6 @@ func (sp *Spec) validateFabric() error {
 	if (f.Cores > 0) != (f.PodLeaves > 0) {
 		return fmt.Errorf("cluster: a 3-tier fabric needs both Cores and PodLeaves (got %d/%d)",
 			f.Cores, f.PodLeaves)
-	}
-	if f.Cores > 0 && f.RingSwitches > 0 {
-		return fmt.Errorf("cluster: ring fabrics have no core tier")
-	}
-	n := len(sp.Clients) + len(sp.Hosts)
-	if f.RingSwitches > 0 {
-		if f.RingSwitches < 3 {
-			return fmt.Errorf("cluster: ring fabric needs >= 3 switches, got %d", f.RingSwitches)
-		}
-		if cap := f.RingSwitches * f.LeafPorts; n > cap {
-			return fmt.Errorf("cluster: %d machines exceed ring capacity %d (%d switches x %d ports)",
-				n, cap, f.RingSwitches, f.LeafPorts)
-		}
 	}
 	return nil
 }
@@ -701,11 +673,6 @@ func (sp *Spec) validateFaults() error {
 			continue
 		}
 		switch {
-		case sp.Fabric.RingSwitches > 0:
-			if fs.Leaf < 0 || fs.Leaf >= sp.Fabric.RingSwitches {
-				return fmt.Errorf("cluster: fault %d targets ring segment %d of %d",
-					i, fs.Leaf, sp.Fabric.RingSwitches)
-			}
 		case sp.Fabric.Spines > 0:
 			if fs.Leaf < 0 || fs.Leaf >= leaves || fs.Spine < 0 || fs.Spine >= sp.Fabric.Spines {
 				return fmt.Errorf("cluster: fault %d targets uplink leaf%d:spine%d (%d leaves, %d spines)",
@@ -842,17 +809,14 @@ func (sp *Spec) topoSpec(net fabric.NetParams) fabric.TopoSpec {
 		// index DeriveSeed will ever see.
 		seed = DeriveSeed(sp.Seed, 1<<16)
 	}
-	ts := fabric.TopoSpec{LeafPorts: sp.Fabric.LeafPorts, Uplink: up, ECMPSeed: seed}
-	if sp.Fabric.RingSwitches > 0 {
-		ts.Kind = fabric.TopoRing
-		ts.Switches = sp.Fabric.RingSwitches
-	} else {
-		ts.Kind = fabric.TopoSpineLeaf
-		ts.Spines = sp.Fabric.Spines
-		ts.Cores = sp.Fabric.Cores
-		ts.PodLeaves = sp.Fabric.PodLeaves
+	return fabric.TopoSpec{
+		Spines:    sp.Fabric.Spines,
+		LeafPorts: sp.Fabric.LeafPorts,
+		Cores:     sp.Fabric.Cores,
+		PodLeaves: sp.Fabric.PodLeaves,
+		Uplink:    up,
+		ECMPSeed:  seed,
 	}
-	return ts
 }
 
 // effectiveShards is the shard-Sim count a build will actually use:

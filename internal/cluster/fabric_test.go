@@ -69,16 +69,6 @@ func TestSpineLeafDeterministicAcrossBuilds(t *testing.T) {
 	}
 }
 
-func TestRingUniverseServes(t *testing.T) {
-	sp := spineLeafSpec(7)
-	sp.Fabric = FabricSpec{RingSwitches: 4, LeafPorts: 1}
-	u := Build(sp)
-	u.RunMeasured(5*sim.Millisecond, 20*sim.Millisecond)
-	if u.TotalMeasuredServed() == 0 {
-		t.Fatal("nothing served around the ring")
-	}
-}
-
 func TestFaultedUniverseServesLess(t *testing.T) {
 	steady := Build(spineLeafSpec(7))
 	steady.RunMeasured(5*sim.Millisecond, 20*sim.Millisecond)
@@ -136,11 +126,8 @@ func TestFabricSpecValidation(t *testing.T) {
 		want string
 	}{
 		{"leafports without tiers", func(s *Spec) { s.Fabric = FabricSpec{LeafPorts: 4} },
-			"neither Spines nor RingSwitches"},
-		{"both shapes", func(s *Spec) { s.Fabric.RingSwitches = 3 }, "both spine-leaf"},
+			"no Spines"},
 		{"no leaf ports", func(s *Spec) { s.Fabric.LeafPorts = 0 }, "LeafPorts"},
-		{"tiny ring", func(s *Spec) { s.Fabric = FabricSpec{RingSwitches: 2, LeafPorts: 2} }, ">= 3 switches"},
-		{"ring overflow", func(s *Spec) { s.Fabric = FabricSpec{RingSwitches: 3, LeafPorts: 1} }, "ring capacity"},
 		{"direct with fabric", func(s *Spec) {
 			s.Hosts = s.Hosts[:1]
 			s.Clients = s.Clients[:1]
@@ -166,7 +153,7 @@ func TestFabricSpecValidation(t *testing.T) {
 			s.Faults = []FaultSpec{{Kind: FaultDrain, Leaf: 7}}
 		}, "drains switch"},
 		{"drain missing spine", func(s *Spec) {
-			s.Fabric = FabricSpec{RingSwitches: 4, LeafPorts: 1}
+			s.Fabric = FabricSpec{}
 			s.Faults = []FaultSpec{{Kind: FaultDrain, Leaf: -1, Spine: 0}}
 		}, "no"},
 		{"negative time", func(s *Spec) {

@@ -36,7 +36,7 @@ type Universe struct {
 	// Direct and for multi-tier fabrics).
 	Switch *fabric.Switch
 	// Topo is the multi-tier routed fabric (nil unless Spec.Fabric asks
-	// for spine-leaf or ring).
+	// for a spine-leaf Clos).
 	Topo    *fabric.Topology
 	Hosts   []*Host
 	Clients []*Client
@@ -85,7 +85,8 @@ func (u *Universe) RunUntil(t sim.Time) {
 }
 
 // EventsFired sums fired events across every simulator — the
-// denominator-independent progress measure e20 meters speedup with.
+// denominator-independent progress measure lhbench -bench's sharding
+// section meters speedup with.
 func (u *Universe) EventsFired() uint64 {
 	var n uint64
 	for _, s := range u.Sims {
@@ -447,16 +448,11 @@ func (u *Universe) scheduleFault(f FaultSpec) {
 		return
 	}
 	var l *fabric.Link
-	interSwitch := false
-	switch {
-	case f.Machine != "":
-		l = u.AccessLink(f.Machine)
-	case u.Spec.Fabric.RingSwitches > 0:
-		l = u.Topo.RingLink(f.Leaf)
-		interSwitch = true
-	default:
+	interSwitch := f.Machine == ""
+	if interSwitch {
 		l = u.Topo.Uplink(f.Leaf, f.Spine)
-		interSwitch = true
+	} else {
+		l = u.AccessLink(f.Machine)
 	}
 	var faults []fabric.LinkFault
 	switch f.Kind {
@@ -494,12 +490,7 @@ func (u *Universe) DroppedFrames() uint64 {
 	if u.Switch != nil {
 		n += u.Switch.Dropped
 	}
-	seen := make(map[*fabric.Link]bool)
 	for _, h := range u.Hosts {
-		if !seen[h.Link] {
-			seen[h.Link] = true
-			n += h.Link.DroppedTotal()
-		}
 		if h.LH != nil {
 			n += h.LH.NIC.Stats().TxNoCarrier
 		}
@@ -507,32 +498,23 @@ func (u *Universe) DroppedFrames() uint64 {
 			n += h.NICDMA.Stats().TxNoCarrier
 		}
 	}
-	for _, c := range u.Clients {
-		if !seen[c.Link] {
-			seen[c.Link] = true
-			n += c.Link.DroppedTotal()
-		}
-	}
+	u.eachLink(func(l *fabric.Link) { n += l.DroppedTotal() })
 	return n
 }
 
-// eachLink visits every distinct link in the universe — access links
-// (host and client, deduplicated for Direct) plus, through the visitor
-// the Topology exposes, nothing extra here: fabric-interior links are
-// aggregated by the Topology's own counters.
+// eachLink visits every machine access link once: each client's, and
+// each host's unless Spec.Direct, where the one link belongs to both the
+// client and the host. Fabric-interior links are aggregated by the
+// Topology's own counters.
 func (u *Universe) eachLink(fn func(*fabric.Link)) {
-	seen := make(map[*fabric.Link]bool)
-	for _, h := range u.Hosts {
-		if !seen[h.Link] {
-			seen[h.Link] = true
-			fn(h.Link)
-		}
-	}
 	for _, c := range u.Clients {
-		if !seen[c.Link] {
-			seen[c.Link] = true
-			fn(c.Link)
-		}
+		fn(c.Link)
+	}
+	if u.Spec.Direct {
+		return
+	}
+	for _, h := range u.Hosts {
+		fn(h.Link)
 	}
 }
 

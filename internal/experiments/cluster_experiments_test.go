@@ -8,7 +8,7 @@ import (
 // behavior it exists to show: per stack the p99 grows (weakly) with fan-in,
 // and at the largest K the stacks keep the paper's ordering.
 func TestE15Claims(t *testing.T) {
-	tb := E15Incast(nil)
+	tb := E15Incast(nil, Options{})
 	ks := E15Ks()
 	if len(tb.Rows) != 3*len(ks) {
 		t.Fatalf("%d rows", len(tb.Rows))
@@ -44,7 +44,7 @@ func TestE15Claims(t *testing.T) {
 // serves, the Zipf skew concentrates work on the Lauberhorn host, and
 // the TOTAL row adds up.
 func TestE16Claims(t *testing.T) {
-	tb := E16Cluster(nil)
+	tb := E16Cluster(nil, Options{})
 	if len(tb.Rows) != 4 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -86,8 +86,8 @@ func TestClusterExperimentsDeterministic(t *testing.T) {
 	}
 	for _, id := range []string{"e15", "e16"} {
 		e := ByID(id)
-		a := e.Run(nil)
-		b := e.Run(nil)
+		a := e.Run(nil, Options{})
+		b := e.Run(nil, Options{})
 		if len(a) != len(b) {
 			t.Fatalf("%s: table count differs", id)
 		}

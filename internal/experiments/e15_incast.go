@@ -24,14 +24,13 @@ const e15Rate = 25_000
 // reports the tail of the merged client-side latency distribution. Only
 // the cluster layer makes this topology declarative — the spec is K+1
 // machines around one learning switch.
-func E15Incast(m *sim.Meter) *stats.Table {
+func E15Incast(m *sim.Meter, o Options) *stats.Table {
 	t := stats.NewTable("E15 — incast: K clients fan into one server through the switch (64B, 1us handler, 2 cores)",
 		"stack", "clients", "offered (krps)", "p50 (us)", "p99 (us)", "served", "sent")
 
 	for _, st := range sweepStacks("Lauberhorn", "Bypass", "Kernel") {
 		for _, k := range E15Ks() {
-			u := cluster.Build(incastSpec(15, st.Stack, k))
-			m.Observe(u.S)
+			u := o.build(m, incastSpec(15, st.Stack, k))
 			u.RunMeasured(10*sim.Millisecond, 30*sim.Millisecond)
 			p := u.MergedLatency().Percentiles(0.5, 0.99)
 			t.AddRow(st.Name, k, float64(k*e15Rate)/1000,
@@ -65,6 +64,5 @@ func incastSpec(seed uint64, stack cluster.Stack, k int) cluster.Spec {
 			Arrivals: workload.RatePerSec(e15Rate),
 		})
 	}
-	applyTransport(&sp)
 	return sp
 }

@@ -19,12 +19,11 @@ import (
 // where. This is the multi-tenant, multi-server scenario the ROADMAP's
 // "heavy traffic, scenario diversity" north star asks for; it only
 // exists because the cluster layer can declare it.
-func E16Cluster(m *sim.Meter) *stats.Table {
+func E16Cluster(m *sim.Meter, o Options) *stats.Table {
 	t := stats.NewTable("E16 — mixed-stack cluster under Zipf(1.2) load (3 servers, 3 clients, cloud-RPC sizes)",
 		"host", "stack", "served", "p50 (us)", "p99 (us)", "energy (mJ)", "uJ/req")
 
-	u := cluster.Build(e16Spec(16))
-	m.Observe(u.S)
+	u := o.build(m, e16Spec(16))
 	u.RunMeasured(10*sim.Millisecond, 40*sim.Millisecond)
 
 	for _, h := range u.Hosts {
@@ -85,6 +84,5 @@ func e16Spec(seed uint64) cluster.Spec {
 			Popularity: workload.NewZipf(8, 1.2),
 		})
 	}
-	applyTransport(&sp)
 	return sp
 }

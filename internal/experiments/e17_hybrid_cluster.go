@@ -31,7 +31,7 @@ const e17Rate = 8_000
 // below the threshold, where the two data paths are identical, and beats
 // it on large bodies, where Hybrid reverts to DMA transfers instead of
 // streaming aux cache lines in both directions.
-func E17HybridCluster(m *sim.Meter) *stats.Table {
+func E17HybridCluster(m *sim.Meter, o Options) *stats.Table {
 	t := stats.NewTable("E17 — registered stacks under switched load, mixed 512B/8KiB bodies (2 cores, 1us handler)",
 		"stack", "small p50 (us)", "small p99 (us)", "large p50 (us)", "large p99 (us)", "served", "sent")
 
@@ -39,8 +39,7 @@ func E17HybridCluster(m *sim.Meter) *stats.Table {
 		if !ent.Sweep {
 			continue
 		}
-		u := cluster.Build(e17Spec(17, ent.Kind))
-		m.Observe(u.S)
+		u := o.build(m, e17Spec(17, ent.Kind))
 		u.RunMeasured(10*sim.Millisecond, 30*sim.Millisecond)
 		// Target order is [small, large] on every client; merge across
 		// clients per size class.
@@ -87,6 +86,5 @@ func e17Spec(seed uint64, stack cluster.Stack) cluster.Spec {
 			Arrivals: workload.RatePerSec(2 * e17Rate),
 		})
 	}
-	applyTransport(&sp)
 	return sp
 }

@@ -13,7 +13,7 @@ import (
 // registry-driven shape: one row per sweep-registered stack, every one
 // serving traffic.
 func TestE17Claims(t *testing.T) {
-	tb := E17HybridCluster(nil)
+	tb := E17HybridCluster(nil, Options{})
 
 	sweep := 0
 	for _, ent := range stackdrv.All() {
@@ -67,7 +67,7 @@ func TestE17Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	a, b := E17HybridCluster(nil), E17HybridCluster(nil)
+	a, b := E17HybridCluster(nil, Options{}), E17HybridCluster(nil, Options{})
 	if a.String() != b.String() {
 		t.Fatalf("e17 differs between runs:\n%s\n---\n%s", a, b)
 	}

@@ -52,14 +52,13 @@ const (
 // (max/min frames per spine), the row a fabric operator reads to see
 // whether the stack or the fabric saturates first as the universe grows
 // from 8 to 64 machines.
-func E18SpineLeaf(m *sim.Meter) *stats.Table {
+func E18SpineLeaf(m *sim.Meter, o Options) *stats.Table {
 	t := stats.NewTable("E18 — spine-leaf scaling: N clients x N servers across a 2-spine Clos (64B, 1us handler, ECMP)",
 		"stack", "servers", "machines", "offered (krps)", "p50 (us)", "p99 (us)", "served", "spine spread", "peak backlog (us)")
 
 	for _, st := range sweepStacks("Lauberhorn", "Bypass", "Kernel") {
 		for _, n := range E18Scales() {
-			u := cluster.Build(e18Spec(18, st.Stack, n))
-			observeAll(m, u)
+			u := o.build(m, e18Spec(18, st.Stack, n))
 			u.RunMeasured(5*sim.Millisecond, 25*sim.Millisecond)
 			p := u.MergedLatency().Percentiles(0.5, 0.99)
 			t.AddRow(st.Name, n, 2*n, float64(n*e18Rate)/1000,
@@ -116,8 +115,6 @@ func e18Spec(seed uint64, stack cluster.Stack, n int) cluster.Spec {
 			Arrivals: workload.RatePerSec(e18Rate),
 		})
 	}
-	applyShards(&sp)
-	applyTransport(&sp)
 	return sp
 }
 
@@ -129,13 +126,12 @@ func e18Spec(seed uint64, stack cluster.Stack, n int) cluster.Spec {
 // pod/spine shape added. One stack only: at this scale the sweep is
 // about the fabric (and, with -shards, the sharded executor), not the
 // stack ordering the two-tier ladder already pins.
-func E18ThreeTier(m *sim.Meter) *stats.Table {
+func E18ThreeTier(m *sim.Meter, o Options) *stats.Table {
 	t := stats.NewTable("E18 — 3-tier Clos scaling to 1024 machines (Lauberhorn, 64B, 1us handler, ECMP across pods and cores)",
 		"servers", "machines", "pods", "spines", "offered (krps)", "p50 (us)", "p99 (us)", "served", "spine spread")
 
 	for _, n := range E18ThreeTierScales() {
-		u := cluster.Build(e18TierSpec(18, n))
-		observeAll(m, u)
+		u := o.build(m, e18TierSpec(18, n))
 		u.RunMeasured(2*sim.Millisecond, 8*sim.Millisecond)
 		p := u.MergedLatency().Percentiles(0.5, 0.99)
 		t.AddRow(n, 2*n, u.Topo.Pods(), len(u.Topo.Spines),
@@ -184,7 +180,5 @@ func e18TierSpec(seed uint64, n int) cluster.Spec {
 			Arrivals: workload.RatePerSec(e18TierRate),
 		})
 	}
-	applyShards(&sp)
-	applyTransport(&sp)
 	return sp
 }

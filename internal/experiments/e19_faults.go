@@ -63,14 +63,13 @@ func e19Flap() cluster.FaultSpec {
 // Nothing is retransmitted (the generator is open loop), so completed
 // counts exactly the RPCs whose responses survived, and the p99 growth
 // is every request flow crowding onto the one live spine.
-func E19Faults(m *sim.Meter) *stats.Table {
+func E19Faults(m *sim.Meter, o Options) *stats.Table {
 	t := stats.NewTable("E19 — link-flap fault injection on a 2-spine Clos (4 clients x 4 servers, 4KiB echo, 2.5G uplinks)",
 		"stack", "fault", "p50 (us)", "p99 (us)", "completed", "served", "sent", "net drops", "peak backlog (us)")
 
 	for _, st := range sweepStacks("Lauberhorn", "Bypass", "Kernel") {
 		for _, flap := range []bool{false, true} {
-			u := cluster.Build(e19Spec(19, st.Stack, flap))
-			observeAll(m, u)
+			u := o.build(m, e19Spec(19, st.Stack, flap))
 			u.RunMeasured(10*sim.Millisecond, 30*sim.Millisecond)
 			lat := u.MergedLatency()
 			p := lat.Percentiles(0.5, 0.99)
@@ -121,7 +120,5 @@ func e19Spec(seed uint64, stack cluster.Stack, flap bool) cluster.Spec {
 	if flap {
 		sp.Faults = []cluster.FaultSpec{e19Flap()}
 	}
-	applyShards(&sp)
-	applyTransport(&sp)
 	return sp
 }

@@ -5,11 +5,15 @@ import (
 
 	"lauberhorn/internal/cluster"
 	"lauberhorn/internal/sim"
-	"lauberhorn/internal/stats"
 	"lauberhorn/internal/workload"
 )
 
-// e20 rig shape: 16 Lauberhorn servers and 16 clients paired one-to-one
+// The e20 universe is the sharded executor's fixture, not a paper
+// experiment: TestE20Claims pins that it computes the same results
+// serially and at every shard count, and lhbench -bench's sharding
+// section times what those identical runs cost.
+//
+// Its shape: 16 Lauberhorn servers and 16 clients paired one-to-one
 // across a small 3-tier Clos (8 leaves in 4 pods of 2, 2 spines per pod,
 // 2 cores), 64 B echo at 20 krps per client. Clients fill the low
 // leaves and servers the high ones, so every request crosses at least a
@@ -20,18 +24,19 @@ const (
 	e20Rate  = 20_000
 )
 
-// E20ShardCounts returns the execution modes the experiment sweeps:
+// E20ShardCounts returns the execution modes the fixture is run in:
 // serial (0), then 2/4/8 shards — 8 equals the leaf count, one leaf per
 // shard. A fresh slice per call keeps it read-only for concurrent
-// experiments.
+// callers.
 func E20ShardCounts() []int { return []int{0, 2, 4, 8} }
 
-// E20Spec declares the e20 universe at a given shard count. Exported
-// because lhbench's -bench mode rebuilds exactly this universe per shard
-// count to time it: the experiment table below pins that the *results*
-// are identical, and the BENCH_sim.json sharding section records what
-// the identical runs *cost* (the one number that may legitimately differ
-// — it depends on host cores, so it stays out of stdout).
+// E20Spec declares the e20 universe at a given shard count, always
+// without a transport. Exported because lhbench's -bench mode rebuilds
+// exactly this universe per shard count to time it: TestE20Claims pins
+// that the *results* are identical, and the BENCH_sim.json sharding
+// section records what the identical runs *cost* (the one number that
+// may legitimately differ — it depends on host cores, so it stays out of
+// stdout).
 func E20Spec(shards int) cluster.Spec {
 	sp := cluster.Spec{
 		Seed: 20,
@@ -56,52 +61,9 @@ func E20Spec(shards int) cluster.Spec {
 			Arrivals: workload.RatePerSec(e20Rate),
 		})
 	}
-	applyTransport(&sp)
 	return sp
 }
 
 // E20Window is the shared warm-up/measure window; lhbench's sharding
 // bench reuses it so the universes it times are exactly the pinned ones.
 func E20Window() (warm, dur sim.Time) { return 2 * sim.Millisecond, 10 * sim.Millisecond }
-
-// E20RunSpec builds and runs one e20 universe — the exact procedure both
-// the table below and lhbench's timing rows share.
-func E20RunSpec(m *sim.Meter, shards int) *cluster.Universe {
-	u := cluster.Build(E20Spec(shards))
-	observeAll(m, u)
-	warm, dur := E20Window()
-	u.RunMeasured(warm, dur)
-	return u
-}
-
-// E20Sharding is the sharded executor's equivalence table: the same
-// universe run serially and at 2/4/8 shards, one row per mode. Every
-// column except "shards" and "sims" must be identical down the table —
-// that *is* the result: partitioning a universe across simulators under
-// conservative time windows changes where events execute, never what
-// they compute. Wall-clock speedup is deliberately absent (it depends on
-// host core count, and stdout stays byte-identical across runs and
-// across -shards); lhbench -bench records it in BENCH_sim.json.
-func E20Sharding(m *sim.Meter) *stats.Table {
-	t := stats.NewTable("E20 — sharded execution equivalence: one universe, serial vs 2/4/8 shards (16x16 machines, 3-tier Clos)",
-		"shards", "sims", "events fired", "sent", "served", "completed", "p50 (us)", "p99 (us)", "net drops")
-
-	for _, shards := range E20ShardCounts() {
-		u := E20RunSpec(m, shards)
-		lat := u.MergedLatency()
-		p := lat.Percentiles(0.5, 0.99)
-		label := "serial"
-		if shards > 0 {
-			label = fmt.Sprint(shards)
-		}
-		t.AddRow(label, len(u.Sims), u.EventsFired(),
-			u.TotalMeasuredSent(), u.TotalMeasuredServed(), lat.Count(),
-			sim.Time(p[0]).Microseconds(),
-			sim.Time(p[1]).Microseconds(),
-			u.DroppedFrames())
-	}
-	t.AddNote("every column but shards/sims is identical by construction: same seeds, keyed inter-switch")
-	t.AddNote("delivery, and conservative windows bounded by the uplink lookahead (prop + switch delay);")
-	t.AddNote("wall-clock speedup is host-dependent and lives in BENCH_sim.json's sharding section")
-	return t
-}

@@ -57,15 +57,15 @@ func e21Window() (warm, dur sim.Time) { return 5 * sim.Millisecond, 25 * sim.Mil
 // retransmits, link ECN marks, frames the network dropped. Rows come
 // from the transport registry, so a newly registered scheme shows up
 // without harness changes.
-func E21Transport(m *sim.Meter) *stats.Table {
+func E21Transport(m *sim.Meter, o Options) *stats.Table {
 	t := stats.NewTable("E21 — incast collapse and recovery: transport schemes under K-client burst fan-in (4KiB, 10GbE access, 100us queue)",
 		"transport", "clients", "offered (krps)", "goodput (krps)", "p50 (us)", "p99 (us)", "completed", "retrans", "marks", "net drops")
 
+	o.Transport = transport.Raw // each row picks its own scheme, raw included
 	warm, dur := e21Window()
 	for _, e := range transport.All() {
 		for _, k := range E21Ks() {
-			u := cluster.Build(e21Spec(21, e.Kind, k))
-			observeAll(m, u)
+			u := o.build(m, e21Spec(21, e.Kind, k))
 			u.RunMeasured(warm, dur)
 			lat := u.MergedLatency()
 			p := lat.Percentiles(0.5, 0.99)
@@ -88,7 +88,7 @@ func E21Transport(m *sim.Meter) *stats.Table {
 
 // e21Spec declares the K-into-1 burst universe under one transport
 // scheme. Unlike the other cluster experiments it sets Transport
-// explicitly per row, so the global -transport override does not apply.
+// explicitly per row, and E21Transport clears the -transport option.
 func e21Spec(seed uint64, kind transport.Kind, k int) cluster.Spec {
 	sp := cluster.Spec{
 		Seed: seed,

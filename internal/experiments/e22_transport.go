@@ -42,15 +42,15 @@ func e22Window() (warm, dur sim.Time) { return 10 * sim.Millisecond, 30 * sim.Mi
 // mercy of the flap; retry drives it to ~0 by retransmitting into the
 // server's dup cache. The retrans/marks columns show each scheme's
 // mechanism engaging, and net drops what the fabric still ate.
-func E22TransportFaults(m *sim.Meter) *stats.Table {
+func E22TransportFaults(m *sim.Meter, o Options) *stats.Table {
 	t := stats.NewTable("E22 — transports under e19's link-flap partition (Lauberhorn 4x4, 4KiB echo, 2.5G uplinks marking at 50us)",
 		"transport", "fault", "p50 (us)", "p99 (us)", "completed", "served", "blackholed", "retrans", "marks", "net drops")
 
+	o.Transport = transport.Raw // each row picks its own scheme, raw included
 	warm, dur := e22Window()
 	for _, e := range transport.All() {
 		for _, flap := range []bool{false, true} {
-			u := cluster.Build(e22Spec(22, e.Kind, flap))
-			observeAll(m, u)
+			u := o.build(m, e22Spec(22, e.Kind, flap))
 			u.RunMeasured(warm, dur)
 			lat := u.MergedLatency()
 			p := lat.Percentiles(0.5, 0.99)
@@ -75,9 +75,10 @@ func E22TransportFaults(m *sim.Meter) *stats.Table {
 }
 
 // e22Spec is e19Spec restricted to Lauberhorn with marking uplinks and a
-// per-row transport scheme. Like e21 it sets Transport explicitly, so
-// the global -transport override does not apply; the -shards override
-// does (the rig is spine-leaf, and the matrix must shard cleanly).
+// per-row transport scheme. Like e21 it sets Transport explicitly, and
+// E22TransportFaults clears the -transport option; the -shards option
+// still applies (the rig is spine-leaf, and the matrix must shard
+// cleanly).
 func e22Spec(seed uint64, kind transport.Kind, flap bool) cluster.Spec {
 	sp := e19Spec(seed, cluster.Lauberhorn, flap)
 	sp.Fabric.Uplink = e22Uplink()

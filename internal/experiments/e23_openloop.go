@@ -84,12 +84,11 @@ func e23Arrivals() []e23Row {
 // bursty rows show the tail decoupling from the mean — MMPP and diurnal
 // at 180 krps mean land far above the Poisson 180 krps point because
 // their hot states run past capacity and queue.
-func E23OpenLoop(m *sim.Meter) *stats.Table {
+func E23OpenLoop(m *sim.Meter, o Options) *stats.Table {
 	t := stats.NewTable("E23 — open-loop arrival processes on a 2-spine Clos (4 clients x 4 servers, 64B, 4us service)",
 		"arrivals", "mean offered (krps)", "sent", "completed", "served", "p50 (us)", "p99 (us)")
 	for _, row := range e23Arrivals() {
-		u := cluster.Build(e23Spec(23, row.Mk))
-		observeAll(m, u)
+		u := o.build(m, e23Spec(23, row.Mk))
 		u.RunMeasured(2*sim.Millisecond, 10*sim.Millisecond)
 		lat := u.MergedLatency()
 		p := lat.Percentiles(0.5, 0.99)
@@ -132,7 +131,5 @@ func e23Spec(seed uint64, mk func() workload.ArrivalDist) cluster.Spec {
 			Targets:  []cluster.TargetSpec{{Host: fmt.Sprintf("srv%d", i), Service: uint32(i + 1)}},
 		})
 	}
-	applyShards(&sp)
-	applyTransport(&sp)
 	return sp
 }

@@ -42,13 +42,12 @@ const e24TightBudget = 2 * sim.Microsecond
 // amplify the no-DAG baseline's p99, the loose budgets never trip, and
 // the tight row shows the budget machinery catching an edge whose
 // round trip cannot meet its contract.
-func E24DAG(m *sim.Meter) *stats.Table {
+func E24DAG(m *sim.Meter, o Options) *stats.Table {
 	t := stats.NewTable("E24 — service dependency DAGs: call-graph shape vs root tail (4 clients, 2-spine Clos)",
 		"shape", "completed", "served", "p50 (us)", "p99 (us)", "p99 amp", "edge calls", "violations")
 	var basep99 float64
 	for _, shape := range e24Shapes {
-		u := cluster.Build(e24Spec(24, shape))
-		observeAll(m, u)
+		u := o.build(m, e24Spec(24, shape))
 		u.RunMeasured(2*sim.Millisecond, 10*sim.Millisecond)
 		lat := u.MergedLatency()
 		p := lat.Percentiles(0.5, 0.99)
@@ -120,7 +119,5 @@ func e24Spec(seed uint64, shape string) cluster.Spec {
 	default:
 		panic("e24: unknown shape " + shape)
 	}
-	applyShards(&sp)
-	applyTransport(&sp)
 	return sp
 }

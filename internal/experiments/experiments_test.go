@@ -142,7 +142,7 @@ func TestE8Tables(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 24 {
+	if len(all) != 23 {
 		t.Fatalf("%d experiments", len(all))
 	}
 	ids := map[string]bool{}

@@ -3,6 +3,10 @@ package experiments
 import (
 	"fmt"
 	"testing"
+
+	"lauberhorn/internal/cluster"
+	"lauberhorn/internal/sim"
+	"lauberhorn/internal/stats"
 )
 
 // TestE18Claims checks the spine-leaf scaling table: rows per stack and
@@ -10,7 +14,7 @@ import (
 // seeded ECMP hash keeps the spines within 25% of each other at every
 // rung.
 func TestE18Claims(t *testing.T) {
-	tb := E18SpineLeaf(nil)
+	tb := E18SpineLeaf(nil, Options{})
 	scales := E18Scales()
 	if len(tb.Rows) != 3*len(scales) {
 		t.Fatalf("%d rows", len(tb.Rows))
@@ -53,7 +57,7 @@ func TestE18Claims(t *testing.T) {
 // (blackholed responses = wasted server work), and report network
 // drops, while the steady run drops nothing.
 func TestE19Claims(t *testing.T) {
-	tb := E19Faults(nil)
+	tb := E19Faults(nil, Options{})
 	if len(tb.Rows) != 6 {
 		t.Fatalf("%d rows", len(tb.Rows))
 	}
@@ -97,7 +101,7 @@ func TestE19Claims(t *testing.T) {
 // pins the per-pod spine accounting in Topology.UplinkFrames, which
 // once credited every pod's frames to pod 0).
 func TestE18ThreeTierClaims(t *testing.T) {
-	tb := E18ThreeTier(nil)
+	tb := E18ThreeTier(nil, Options{})
 	scales := E18ThreeTierScales()
 	if len(tb.Rows) != len(scales) {
 		t.Fatalf("%d rows", len(tb.Rows))
@@ -134,7 +138,7 @@ func TestE18ThreeTierClaims(t *testing.T) {
 // (shards + hub), and every results column byte-identical down the
 // table — the cross-simulator determinism contract rendered as data.
 func TestE20Claims(t *testing.T) {
-	tb := E20Sharding(nil)
+	tb := e20Table()
 	counts := E20ShardCounts()
 	if len(tb.Rows) != len(counts) {
 		t.Fatalf("%d rows", len(tb.Rows))
@@ -162,26 +166,50 @@ func TestE20Claims(t *testing.T) {
 	t.Logf("\n%s", tb)
 }
 
+// e20Table runs the E20Spec universe serially and at each of
+// E20ShardCounts, one row per mode. Every column except "shards" and
+// "sims" must be identical down the table: partitioning a universe
+// across simulators under conservative time windows changes where events
+// execute, never what they compute.
+func e20Table() *stats.Table {
+	t := stats.NewTable("E20 — sharded execution equivalence: one universe, serial vs 2/4/8 shards (16x16 machines, 3-tier Clos)",
+		"shards", "sims", "events fired", "sent", "served", "completed", "p50 (us)", "p99 (us)", "net drops")
+	for _, shards := range E20ShardCounts() {
+		u := cluster.Build(E20Spec(shards))
+		u.RunMeasured(E20Window())
+		lat := u.MergedLatency()
+		p := lat.Percentiles(0.5, 0.99)
+		label := "serial"
+		if shards > 0 {
+			label = fmt.Sprint(shards)
+		}
+		t.AddRow(label, len(u.Sims), u.EventsFired(),
+			u.TotalMeasuredSent(), u.TotalMeasuredServed(), lat.Count(),
+			sim.Time(p[0]).Microseconds(),
+			sim.Time(p[1]).Microseconds(),
+			u.DroppedFrames())
+	}
+	return t
+}
+
 // TestShardedExperimentsStdoutIdentical is the -shards half of the
 // determinism acceptance gate: rendering the fabric, transport, and
-// open-loop workload experiments with the global shard override at 2
-// and 4 must reproduce the serial tables byte for byte (CI repeats the
-// same diff over the full suite via lhbench -shards; non-fabric
-// experiments never consult the override, e22's spine-leaf transport
-// universes must shard as cleanly as raw e19's, and e23/e24 prove the
-// stateful arrival processes and DAG execution survive sharding).
+// open-loop workload experiments with Options.Shards at 2 and 4 must
+// reproduce the serial tables byte for byte (CI repeats the same diff
+// over the full suite via lhbench -shards; non-fabric experiments never
+// read the option, e22's spine-leaf transport universes must shard as
+// cleanly as raw e19's, and e23/e24 prove the stateful arrival
+// processes and DAG execution survive sharding).
 func TestShardedExperimentsStdoutIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy")
 	}
-	exps, err := Select("e18,e19,e20,e21,e22,e23,e24")
+	exps, err := Select("e18,e19,e21,e22,e23,e24")
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(shards int) string {
-		SetShards(shards)
-		defer SetShards(0)
-		results := (&Runner{Workers: 1}).Run(exps)
+		results := (&Runner{Workers: 1, Options: Options{Shards: shards}}).Run(exps)
 		for _, r := range results {
 			if r.Err != nil {
 				t.Fatalf("shards=%d: %s failed: %v", shards, r.Experiment.ID, r.Err)

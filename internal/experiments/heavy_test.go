@@ -148,7 +148,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		t.Skip("heavy")
 	}
 	for _, e := range All() {
-		tables := e.Run(nil)
+		tables := e.Run(nil, Options{})
 		if len(tables) == 0 {
 			t.Errorf("%s produced no tables", e.ID)
 		}

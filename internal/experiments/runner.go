@@ -41,6 +41,8 @@ type Runner struct {
 	// Workers bounds concurrent experiments. Zero or negative means
 	// GOMAXPROCS.
 	Workers int
+	// Options is handed, by value, to every experiment's Run.
+	Options Options
 }
 
 // Run executes exps and returns their results in presentation order
@@ -75,7 +77,7 @@ func (r *Runner) RunStream(exps []Experiment, emit func(Result)) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				results[i] = runOne(exps[i])
+				results[i] = runOne(exps[i], r.Options)
 				close(ready[i])
 			}
 		}()
@@ -98,7 +100,7 @@ func (r *Runner) RunStream(exps []Experiment, emit func(Result)) []Result {
 
 // runOne executes a single experiment with its own meter, timing it and
 // converting a panic into an error result.
-func runOne(e Experiment) (res Result) {
+func runOne(e Experiment, o Options) (res Result) {
 	res.Experiment = e
 	m := &sim.Meter{}
 	//lhlint:allow detsource Wall is the one documented nondeterministic Result field; it never feeds model behavior
@@ -113,7 +115,7 @@ func runOne(e Experiment) (res Result) {
 			res.Err = fmt.Errorf("experiment %s panicked: %v", e.ID, p)
 		}
 	}()
-	res.Tables = e.Run(m)
+	res.Tables = e.Run(m, o)
 	return res
 }
 

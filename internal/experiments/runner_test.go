@@ -49,7 +49,8 @@ func TestRunnerDeterminism(t *testing.T) {
 
 // synthetic builds a fake experiment for pool-behavior tests.
 func synthetic(id string, run func(m *sim.Meter) []*stats.Table) Experiment {
-	return Experiment{ID: id, Title: id, Source: "test", Run: run}
+	return Experiment{ID: id, Title: id, Source: "test",
+		Run: func(m *sim.Meter, _ Options) []*stats.Table { return run(m) }}
 }
 
 func oneRowTable(id string) []*stats.Table {
@@ -150,6 +151,7 @@ func TestSelect(t *testing.T) {
 		"e1,e1":   "duplicate experiment ID",
 		"e1,all":  "mixes 'all'",
 		"e1,nope": "unknown experiment",
+		"e20":     "unknown experiment",
 		"":        "empty experiment ID",
 	} {
 		_, err := Select(spec)

@@ -24,7 +24,7 @@ func tget(t *testing.T, rows [][]string, r, c int) float64 {
 // beats raw's goodput — the headline transport claim — and each scheme's
 // mechanism column (retransmits, marks) engages exactly where it should.
 func TestE21Claims(t *testing.T) {
-	tb := E21Transport(nil)
+	tb := E21Transport(nil, Options{})
 	ks := E21Ks()
 	schemes := transport.All()
 	if len(tb.Rows) != len(schemes)*len(ks) {
@@ -93,7 +93,7 @@ func TestE21Claims(t *testing.T) {
 // congestion schemes cannot, every steady row drops nothing, and every
 // flap stretches the tail.
 func TestE22Claims(t *testing.T) {
-	tb := E22TransportFaults(nil)
+	tb := E22TransportFaults(nil, Options{})
 	schemes := transport.All()
 	if len(tb.Rows) != 2*len(schemes) {
 		t.Fatalf("%d rows", len(tb.Rows))
@@ -142,25 +142,20 @@ func TestE22Claims(t *testing.T) {
 }
 
 // TestTransportOverrideChangesE15 pins the -transport plumbing end to
-// end: the global override reaches a cluster experiment's spec (credit
-// pacing leaves its stats fingerprint on e15's universes) and resetting
-// it restores the raw tables byte for byte.
+// end: Options.Transport reaches a cluster experiment's universe (credit
+// pacing leaves its stats fingerprint on e15's universes), and e15 run
+// without options renders the same tables twice.
 func TestTransportOverrideChangesE15(t *testing.T) {
-	base := E15Incast(nil).String()
-
-	SetTransport(transport.Credit)
-	sp := incastSpec(15, cluster.Lauberhorn, 4)
-	SetTransport(transport.Raw)
-	if sp.Transport != transport.Credit {
-		t.Fatalf("override did not reach the spec: transport %d", int(sp.Transport))
+	u := Options{Transport: transport.Credit}.build(nil, incastSpec(15, cluster.Lauberhorn, 4))
+	if u.Spec.Transport != transport.Credit {
+		t.Fatalf("option did not reach the spec: transport %d", int(u.Spec.Transport))
 	}
-	u := cluster.Build(sp)
 	u.RunMeasured(2*sim.Millisecond, 8*sim.Millisecond)
 	if u.TransportStats() == (transport.Stats{}) {
-		t.Error("override set but the universe shows no transport activity")
+		t.Error("option set but the universe shows no transport activity")
 	}
 
-	if again := E15Incast(nil).String(); again != base {
-		t.Error("raw e15 tables differ after clearing the override")
+	if a, b := E15Incast(nil, Options{}).String(), E15Incast(nil, Options{}).String(); a != b {
+		t.Error("two option-free e15 runs render different tables")
 	}
 }

@@ -13,7 +13,7 @@ import (
 // mean rate*: mean offered load does not determine the tail once
 // arrivals cluster.
 func TestE23Claims(t *testing.T) {
-	tb := E23OpenLoop(nil)
+	tb := E23OpenLoop(nil, Options{})
 	rows := e23Arrivals()
 	if len(tb.Rows) != len(rows) {
 		t.Fatalf("%d rows, want %d", len(tb.Rows), len(rows))
@@ -65,7 +65,7 @@ func TestE23Claims(t *testing.T) {
 // the impossible fanout-tight budget flags essentially every call on
 // its edge.
 func TestE24Claims(t *testing.T) {
-	tb := E24DAG(nil)
+	tb := E24DAG(nil, Options{})
 	if len(tb.Rows) != len(e24Shapes) {
 		t.Fatalf("%d rows, want %d", len(tb.Rows), len(e24Shapes))
 	}

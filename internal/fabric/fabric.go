@@ -12,7 +12,7 @@
 // Between hosts, the package models links (FIFO serialization per
 // direction, carrier state, bounded transmit queues), switches (learning
 // star mode or routed mode with static FDBs), multi-tier topologies
-// (spine-leaf Clos and K-switch rings, built by Topology), and scheduled
+// (two- and three-tier spine-leaf Clos, built by Topology), and scheduled
 // faults (fault.go).
 //
 // Determinism invariants: a frame's path through a routed fabric is a

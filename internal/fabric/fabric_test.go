@@ -211,6 +211,32 @@ func TestLinkPanics(t *testing.T) {
 	}
 }
 
+// TestReplacePortRefusesInFlight pins ReplacePort's contract: while a
+// frame is in flight toward a side, replacing that side's port panics
+// (the delivery would land on a port it was never sent to); once the
+// frame is delivered, the swap succeeds and the next frame reaches the
+// new port.
+func TestReplacePortRefusesInFlight(t *testing.T) {
+	s := sim.New(1)
+	l := NewLink(s, Net100G)
+	a, old, repl := &sink{s: s}, &sink{s: s}, &sink{s: s}
+	l.Attach(a, old)
+	l.Send(0, make([]byte, 125))
+	if err := catchPanic(func() { l.ReplacePort(1, repl) }); err == "" {
+		t.Fatal("ReplacePort with a frame in flight toward side 1 did not panic")
+	}
+	s.Run()
+	if len(old.frames) != 1 {
+		t.Fatalf("original port got %d frames, want 1", len(old.frames))
+	}
+	l.ReplacePort(1, repl)
+	l.Send(0, make([]byte, 125))
+	s.Run()
+	if len(old.frames) != 1 || len(repl.frames) != 1 {
+		t.Fatalf("after the swap: original %d frames, new %d, want 1 and 1", len(old.frames), len(repl.frames))
+	}
+}
+
 func catchPanic(f func()) (msg string) {
 	defer func() {
 		if r := recover(); r != nil {

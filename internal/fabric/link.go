@@ -88,14 +88,11 @@ type FramePort interface {
 	DeliverFrame(frame []byte)
 }
 
-// delivery is one in-flight frame: the frame bytes plus the deliver
-// function bound to the peer port at send time (so ReplacePort never
-// redirects frames already on the wire). txStart and ev exist for the
+// delivery is one in-flight frame. txStart and ev exist for the
 // carrier-cut purge on unkeyed directions: txStart says whether the
 // frame's serialization had begun when the carrier dropped, and ev is
 // the scheduled delivery event to cancel when it had not.
 type delivery struct {
-	deliver func([]byte)
 	frame   []byte
 	txStart sim.Time
 	ev      *sim.Event
@@ -119,8 +116,8 @@ type Link struct {
 	params NetParams
 	ports  [2]FramePort
 	// deliverTo[i] is ports[i].DeliverFrame bound once at Attach or
-	// ReplacePort time, so Send stages a plain func value instead of
-	// making an interface call (and a closure) per frame.
+	// ReplacePort time, so a delivery calls a plain func value instead
+	// of making an interface call per frame.
 	deliverTo [2]func([]byte)
 	// inflight[i] queues frames sent from side i, oldest first; arrival
 	// times per direction are non-decreasing and the simulator fires
@@ -213,9 +210,7 @@ func (l *Link) Split(s1 *sim.Sim, x *shard.Executor) {
 	}
 	l.sims[1] = s1
 	la := l.params.Lookahead()
-	// The channel looks up deliverTo at delivery time (not send time):
-	// inter-switch links never see ReplacePort, so the distinction from
-	// the serial capture-at-send contract is unobservable.
+	// Like deliverHead, the channel looks up deliverTo at delivery time.
 	l.xchan[0] = shard.NewChannel(l.chanKey[0], la, s1, func(f []byte) { l.deliverTo[1](f) })
 	l.xchan[1] = shard.NewChannel(l.chanKey[1], la, l.sims[0], func(f []byte) { l.deliverTo[0](f) })
 	x.AddChannel(l.xchan[0])
@@ -247,14 +242,18 @@ func (l *Link) Attach(a, b FramePort) {
 func (l *Link) Params() NetParams { return l.params }
 
 // ReplacePort swaps the endpoint on one side — e.g. to substitute a
-// different load generator after a rig is built. Frames already in flight
-// are delivered to the port attached at their original send time.
+// different load generator after a rig is built. Deliveries look the
+// port up when they land, so it panics while frames are in flight toward
+// that side: they would reach a port they were never sent to.
 func (l *Link) ReplacePort(side int, p FramePort) {
 	if side != 0 && side != 1 {
 		panic(fmt.Sprintf("fabric: bad link side %d", side))
 	}
 	if p == nil {
 		panic("fabric: nil port")
+	}
+	if n := l.inflight[1-side].Len(); n > 0 {
+		panic(fmt.Sprintf("fabric: ReplacePort with %d frames in flight toward side %d", n, side))
 	}
 	l.ports[side] = p
 	l.deliverTo[side] = p.DeliverFrame
@@ -336,24 +335,23 @@ func (l *Link) send(from int, frame []byte) {
 		return
 	}
 	if k := l.chanKey[from]; k != 0 {
-		l.inflight[from].Push(delivery{deliver: l.deliverTo[1-from], frame: frame, txStart: start})
+		l.inflight[from].Push(delivery{frame: frame, txStart: start})
 		l.sims[from].AtKeyed(arrive, k|l.chanSeq[from], "link-deliver", l.deliverFn[from])
 		l.chanSeq[from]++
 		return
 	}
 	ev := l.sims[from].At(arrive, "link-deliver", l.deliverFn[from])
-	l.inflight[from].Push(delivery{deliver: l.deliverTo[1-from], frame: frame, txStart: start, ev: ev})
+	l.inflight[from].Push(delivery{frame: frame, txStart: start, ev: ev})
 }
 
 // deliverHead hands the oldest in-flight frame of one direction to the
-// deliver function captured when it was sent. Delivery order matches
-// arrival order because per-direction arrival times never decrease and
-// the simulator fires equal-time events in schedule order.
+// peer port. Delivery order matches arrival order because per-direction
+// arrival times never decrease and the simulator fires equal-time events
+// in schedule order.
 //
 //lhlint:hotpath
 func (l *Link) deliverHead(from int) {
-	d := l.inflight[from].Pop()
-	d.deliver(d.frame)
+	l.deliverTo[1-from](l.inflight[from].Pop().frame)
 }
 
 // panicBadSide keeps the fmt boxing of the bad-side panic off Send's hot

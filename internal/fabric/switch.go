@@ -39,9 +39,8 @@ type Switch struct {
 	groupOf map[wire.MAC]int
 	// trunk marks inter-switch ports. Broadcast floods never leave a
 	// trunk port: with static FDBs a broadcast has no routing job to do,
-	// and flooding it across redundant uplinks (or around a ring) would
-	// loop forever — real routed fabrics confine L2 broadcast the same
-	// way.
+	// and flooding it across redundant uplinks would loop forever — real
+	// routed fabrics confine L2 broadcast the same way.
 	trunk map[int]bool
 
 	// Flooded counts frames sent out all ports for unknown destinations.
@@ -166,7 +165,7 @@ func (sw *Switch) LearnGroup(mac wire.MAC, group int) {
 }
 
 // MarkTrunk excludes a port from broadcast flooding (see the trunk field;
-// topologies mark ring segments and uplinks).
+// topologies mark uplinks).
 func (sw *Switch) MarkTrunk(port int) {
 	if port < 0 || port >= len(sw.ports) {
 		panic(fmt.Sprintf("fabric: trunk port %d of %d", port, len(sw.ports)))

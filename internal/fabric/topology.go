@@ -8,35 +8,18 @@ import (
 	"lauberhorn/internal/wire"
 )
 
-// TopoKind selects the multi-switch fabric shape a Topology builds.
-type TopoKind int
-
-const (
-	// TopoSpineLeaf is a two-tier Clos: machines attach to leaf switches
-	// (LeafPorts per leaf, leaves created on demand in attach order) and
-	// every leaf has one uplink to every spine. Leaves route unknown
-	// destinations up via deterministic ECMP over the live uplinks;
-	// spines know, statically, which leaf every endpoint is behind.
-	TopoSpineLeaf TopoKind = iota
-	// TopoRing is K switches in a ring (LeafPorts machines per switch),
-	// each frame statically routed the shorter way around; ties break
-	// clockwise. It models the small K-switch fabrics of testbeds like
-	// Enzian clusters, and gives experiments a second, path-diverse
-	// shape to contrast with the Clos.
-	TopoRing
-)
-
-// TopoSpec declares a multi-switch fabric.
+// TopoSpec declares a spine-leaf Clos: machines attach to leaf switches
+// (LeafPorts per leaf, leaves created on demand in attach order) and
+// every leaf has one uplink to every spine. Leaves route unknown
+// destinations up via deterministic ECMP over the live uplinks; spines
+// know, statically, which leaf every endpoint is behind.
 type TopoSpec struct {
-	Kind TopoKind
 	// Spines is the number of spine switches — total for a two-tier
 	// spine-leaf fabric, per pod when Cores > 0 makes it three-tier.
 	Spines int
-	// LeafPorts is how many machines attach to one leaf (or one ring
-	// switch) before the next is used.
+	// LeafPorts is how many machines attach to one leaf before the next
+	// is used.
 	LeafPorts int
-	// Switches is the ring size K (TopoRing, K >= 3).
-	Switches int
 	// Cores > 0 grows the spine-leaf fabric a third tier: Cores core
 	// switches above the spines. Leaves then group into pods of PodLeaves
 	// leaves, each pod with its own Spines spine switches; every spine
@@ -74,26 +57,14 @@ func (ts TopoSpec) Validate() error {
 	if ts.PodLeaves < 0 {
 		return fmt.Errorf("fabric: negative PodLeaves %d", ts.PodLeaves)
 	}
-	switch ts.Kind {
-	case TopoSpineLeaf:
-		if ts.Spines <= 0 {
-			return fmt.Errorf("fabric: spine-leaf needs Spines > 0, got %d", ts.Spines)
-		}
-		if ts.Cores > 0 && ts.PodLeaves <= 0 {
-			return fmt.Errorf("fabric: 3-tier Clos needs PodLeaves > 0, got %d", ts.PodLeaves)
-		}
-		if ts.Cores == 0 && ts.PodLeaves > 0 {
-			return fmt.Errorf("fabric: PodLeaves without Cores — set Cores > 0 for a 3-tier Clos")
-		}
-	case TopoRing:
-		if ts.Switches < 3 {
-			return fmt.Errorf("fabric: ring needs >= 3 switches, got %d", ts.Switches)
-		}
-		if ts.Cores > 0 || ts.PodLeaves > 0 {
-			return fmt.Errorf("fabric: ring topologies have no core tier")
-		}
-	default:
-		return fmt.Errorf("fabric: unknown topology kind %d", int(ts.Kind))
+	if ts.Spines <= 0 {
+		return fmt.Errorf("fabric: spine-leaf needs Spines > 0, got %d", ts.Spines)
+	}
+	if ts.Cores > 0 && ts.PodLeaves <= 0 {
+		return fmt.Errorf("fabric: 3-tier Clos needs PodLeaves > 0, got %d", ts.PodLeaves)
+	}
+	if ts.Cores == 0 && ts.PodLeaves > 0 {
+		return fmt.Errorf("fabric: PodLeaves without Cores — set Cores > 0 for a 3-tier Clos")
 	}
 	return nil
 }
@@ -104,18 +75,17 @@ func (ts TopoSpec) Validate() error {
 // never floods and every path decision is reproducible from the spec.
 type Topology struct {
 	Spec TopoSpec
-	// Leaves are the access switches (ring: the ring switches).
+	// Leaves are the access switches.
 	Leaves []*Switch
-	// Spines are the spine switches (empty for rings). In a 3-tier Clos
-	// they are flattened per pod: pod p's spines are
-	// Spines[p*Spec.Spines : (p+1)*Spec.Spines].
+	// Spines are the spine switches. In a 3-tier Clos they are flattened
+	// per pod: pod p's spines are Spines[p*Spec.Spines : (p+1)*Spec.Spines].
 	Spines []*Switch
 	// Cores are the core switches of a 3-tier Clos.
 	Cores []*Switch
 
-	// s is the hub Sim: spines, cores, and ring switches always live
-	// here. In a serial build the leaves do too; a sharded build places
-	// leaf l (and the leaf side of its uplinks) on leafSim(l).
+	// s is the hub Sim: spines and cores always live here. In a serial
+	// build the leaves do too; a sharded build places leaf l (and the
+	// leaf side of its uplinks) on leafSim(l).
 	s       *sim.Sim
 	leafSim func(int) *sim.Sim
 	exec    *shard.Executor
@@ -130,14 +100,10 @@ type Topology struct {
 	coreLinks [][]*Link
 	// corePort[g][c] is spine g's port index on core c.
 	corePort [][]int
-	// ringLinks[i] joins ring switch i (side 0) to switch (i+1)%K.
-	ringLinks []*Link
 	// spinePort[l][sp] is leaf l's port index on (pod-local) spine sp.
 	spinePort [][]int
-	// ringNext/ringPrev are each ring switch's trunk port indices.
-	ringNext, ringPrev []int
-	attached           int
-	macs               []wire.MAC
+	attached  int
+	macs      []wire.MAC
 }
 
 // dirShift positions the direction ID above the 40-bit per-direction
@@ -164,10 +130,9 @@ func (t *Topology) simForLeaf(l int) *sim.Sim {
 	return t.leafSim(l)
 }
 
-// NewTopology builds the switch tiers and inter-switch links. Ring
-// fabrics are wired completely up front; spine-leaf fabrics create
-// leaves (and their uplinks) on demand as machines attach, so the leaf
-// count is ceil(machines / LeafPorts).
+// NewTopology builds the switch tiers and inter-switch links. Leaves (and
+// their uplinks) appear on demand as machines attach, so the leaf count
+// is ceil(machines / LeafPorts).
 func NewTopology(s *sim.Sim, spec TopoSpec) *Topology {
 	return newTopology(s, spec, nil, nil)
 }
@@ -180,9 +145,6 @@ func NewTopology(s *sim.Sim, spec TopoSpec) *Topology {
 // of the same spec, so delivery keys — and therefore merge order — are
 // identical too.
 func NewTopologySharded(hub *sim.Sim, spec TopoSpec, leafSim func(leaf int) *sim.Sim, x *shard.Executor) *Topology {
-	if spec.Kind != TopoSpineLeaf {
-		panic("fabric: sharded build requires a spine-leaf topology")
-	}
 	if spec.Uplink.Lookahead() <= 0 {
 		panic("fabric: sharded build requires positive uplink lookahead")
 	}
@@ -197,42 +159,15 @@ func newTopology(s *sim.Sim, spec TopoSpec, leafSim func(int) *sim.Sim, x *shard
 		panic(err)
 	}
 	t := &Topology{Spec: spec, s: s, leafSim: leafSim, exec: x}
-	switch spec.Kind {
-	case TopoSpineLeaf:
-		if spec.ThreeTier() {
-			// Cores up front; each pod's spines appear with its first leaf.
-			for i := 0; i < spec.Cores; i++ {
-				t.Cores = append(t.Cores, NewSwitch(s))
-			}
-			break
+	if spec.ThreeTier() {
+		// Cores up front; each pod's spines appear with its first leaf.
+		for i := 0; i < spec.Cores; i++ {
+			t.Cores = append(t.Cores, NewSwitch(s))
 		}
-		for i := 0; i < spec.Spines; i++ {
-			t.Spines = append(t.Spines, NewSwitch(s))
-		}
-	case TopoRing:
-		k := spec.Switches
-		for i := 0; i < k; i++ {
-			t.Leaves = append(t.Leaves, NewSwitch(s))
-		}
-		t.ringNext = make([]int, k)
-		t.ringPrev = make([]int, k)
-		// Segment i joins switch i to i+1: port 0 on each switch is
-		// "next", port 1 is "prev" (both trunks).
-		for i := 0; i < k; i++ {
-			t.ringLinks = append(t.ringLinks, t.interLink(s))
-		}
-		for i := 0; i < k; i++ {
-			next := t.Leaves[i].AttachPort(t.ringLinks[i], 0)
-			t.ringNext[i] = next.idx
-			t.Leaves[i].MarkTrunk(next.idx)
-		}
-		for i := 0; i < k; i++ {
-			j := (i + 1) % k
-			prev := t.Leaves[j].AttachPort(t.ringLinks[i], 1)
-			t.ringPrev[j] = prev.idx
-			t.Leaves[j].MarkTrunk(prev.idx)
-			t.ringLinks[i].Attach(t.Leaves[i].ports[t.ringNext[i]], prev)
-		}
+		return t
+	}
+	for i := 0; i < spec.Spines; i++ {
+		t.Spines = append(t.Spines, NewSwitch(s))
 	}
 	return t
 }
@@ -335,16 +270,8 @@ func (t *Topology) accessPort(l *Link) (*SwitchPort, int) {
 	idx := t.attached
 	t.attached++
 	leafIdx := idx / t.Spec.LeafPorts
-	switch t.Spec.Kind {
-	case TopoSpineLeaf:
-		for leafIdx >= len(t.Leaves) {
-			t.newLeaf()
-		}
-	case TopoRing:
-		if leafIdx >= len(t.Leaves) {
-			panic(fmt.Sprintf("fabric: ring of %d switches x %d ports is full",
-				t.Spec.Switches, t.Spec.LeafPorts))
-		}
+	for leafIdx >= len(t.Leaves) {
+		t.newLeaf()
 	}
 	return t.Leaves[leafIdx].AttachPort(l, 1), leafIdx
 }
@@ -352,50 +279,29 @@ func (t *Topology) accessPort(l *Link) (*SwitchPort, int) {
 // route programs every switch's static FDB for a machine on leafIdx.
 func (t *Topology) route(mac wire.MAC, leafIdx, accessPort int) {
 	t.Leaves[leafIdx].Learn(mac, accessPort)
-	switch t.Spec.Kind {
-	case TopoSpineLeaf:
-		if t.Spec.ThreeTier() {
-			// Only the destination pod's spines know the machine; every
-			// core spreads it across that pod's spines (group index ==
-			// pod, see ensurePod); other pods' switches ECMP upward.
-			pod := leafIdx / t.Spec.PodLeaves
-			for sp := 0; sp < t.Spec.Spines; sp++ {
-				t.Spines[pod*t.Spec.Spines+sp].Learn(mac, t.spinePort[leafIdx][sp])
-			}
-			for _, core := range t.Cores {
-				core.LearnGroup(mac, pod)
-			}
-			break
+	if t.Spec.ThreeTier() {
+		// Only the destination pod's spines know the machine; every core
+		// spreads it across that pod's spines (group index == pod, see
+		// ensurePod); other pods' switches ECMP upward.
+		pod := leafIdx / t.Spec.PodLeaves
+		for sp := 0; sp < t.Spec.Spines; sp++ {
+			t.Spines[pod*t.Spec.Spines+sp].Learn(mac, t.spinePort[leafIdx][sp])
 		}
-		// Every spine knows which leaf the machine is behind; other
-		// leaves ECMP unknown destinations upward, so they need nothing.
-		for sp, spine := range t.Spines {
-			spine.Learn(mac, t.spinePort[leafIdx][sp])
+		for _, core := range t.Cores {
+			core.LearnGroup(mac, pod)
 		}
-	case TopoRing:
-		// Every other ring switch routes the shorter way around; the tie
-		// at K/2 breaks clockwise ("next") so the choice is explicit.
-		k := t.Spec.Switches
-		for j := 0; j < k; j++ {
-			if j == leafIdx {
-				continue
-			}
-			cw := (leafIdx - j + k) % k // hops going clockwise (via next)
-			if cw <= k-cw {
-				t.Leaves[j].Learn(mac, t.ringNext[j])
-			} else {
-				t.Leaves[j].Learn(mac, t.ringPrev[j])
-			}
-		}
+		return
+	}
+	// Every spine knows which leaf the machine is behind; other leaves
+	// ECMP unknown destinations upward, so they need nothing.
+	for sp, spine := range t.Spines {
+		spine.Learn(mac, t.spinePort[leafIdx][sp])
 	}
 }
 
 // Uplink returns the leaf <-> spine link of a spine-leaf fabric — the
 // fault-injection targets e19-style experiments flap.
 func (t *Topology) Uplink(leaf, spine int) *Link {
-	if t.Spec.Kind != TopoSpineLeaf {
-		panic("fabric: Uplink on a non-spine-leaf topology")
-	}
 	if leaf < 0 || leaf >= len(t.uplinks) || spine < 0 || spine >= t.Spec.Spines {
 		panic(fmt.Sprintf("fabric: no uplink leaf%d:spine%d (%d leaves, %d spines)",
 			leaf, spine, len(t.uplinks), t.Spec.Spines))
@@ -417,19 +323,16 @@ func (t *Topology) CoreLink(g, c int) *Link {
 }
 
 // Pods reports how many pods a 3-tier fabric has instantiated (zero on
-// two-tier and ring fabrics).
+// two-tier fabrics).
 func (t *Topology) Pods() int {
-	if t.Spec.Spines == 0 {
-		return 0
-	}
 	if !t.Spec.ThreeTier() {
 		return 0
 	}
 	return len(t.Spines) / t.Spec.Spines
 }
 
-// visitLinks calls fn on every instantiated inter-switch link: uplinks,
-// core links, and ring segments.
+// visitLinks calls fn on every instantiated inter-switch link: uplinks
+// and core links.
 func (t *Topology) visitLinks(fn func(*Link)) {
 	for _, row := range t.uplinks {
 		for _, l := range row {
@@ -440,9 +343,6 @@ func (t *Topology) visitLinks(fn func(*Link)) {
 		for _, l := range row {
 			fn(l)
 		}
-	}
-	for _, l := range t.ringLinks {
-		fn(l)
 	}
 }
 
@@ -458,17 +358,6 @@ func (t *Topology) LookaheadBound() sim.Time {
 		}
 	})
 	return bound
-}
-
-// RingLink returns ring segment i (joining switch i to i+1 mod K).
-func (t *Topology) RingLink(i int) *Link {
-	if t.Spec.Kind != TopoRing {
-		panic("fabric: RingLink on a non-ring topology")
-	}
-	if i < 0 || i >= len(t.ringLinks) {
-		panic(fmt.Sprintf("fabric: no ring segment %d of %d", i, len(t.ringLinks)))
-	}
-	return t.ringLinks[i]
 }
 
 // Attached reports how many machines are wired in.
@@ -540,14 +429,10 @@ func (t *Topology) UplinkFrames() []uint64 {
 
 // String summarizes the fabric shape.
 func (t *Topology) String() string {
-	switch {
-	case t.Spec.Kind == TopoRing:
-		return fmt.Sprintf("ring{switches=%d machines=%d}", t.Spec.Switches, t.attached)
-	case t.Spec.ThreeTier():
+	if t.Spec.ThreeTier() {
 		return fmt.Sprintf("clos3{leaves=%d pods=%d spines=%d cores=%d machines=%d}",
 			len(t.Leaves), t.Pods(), len(t.Spines), len(t.Cores), t.attached)
-	default:
-		return fmt.Sprintf("spineleaf{leaves=%d spines=%d machines=%d}",
-			len(t.Leaves), len(t.Spines), t.attached)
 	}
+	return fmt.Sprintf("spineleaf{leaves=%d spines=%d machines=%d}",
+		len(t.Leaves), len(t.Spines), t.attached)
 }

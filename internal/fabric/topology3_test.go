@@ -15,7 +15,7 @@ func clos3Rig(t *testing.T, machines, nSpines, nCores, podLeaves int, seed uint6
 	t.Helper()
 	s := sim.New(1)
 	topo := NewTopology(s, TopoSpec{
-		Kind: TopoSpineLeaf, Spines: nSpines, LeafPorts: 2,
+		Spines: nSpines, LeafPorts: 2,
 		Cores: nCores, PodLeaves: podLeaves,
 		Uplink: Net100G, ECMPSeed: seed,
 	})
@@ -35,13 +35,12 @@ func TestTopoSpecValidate3Tier(t *testing.T) {
 		spec TopoSpec
 		ok   bool
 	}{
-		{"good 3-tier", TopoSpec{Kind: TopoSpineLeaf, Spines: 2, LeafPorts: 4, Cores: 2, PodLeaves: 2, Uplink: Net100G}, true},
-		{"cores without pod size", TopoSpec{Kind: TopoSpineLeaf, Spines: 2, LeafPorts: 4, Cores: 2, Uplink: Net100G}, false},
-		{"pod size without cores", TopoSpec{Kind: TopoSpineLeaf, Spines: 2, LeafPorts: 4, PodLeaves: 2, Uplink: Net100G}, false},
-		{"negative cores", TopoSpec{Kind: TopoSpineLeaf, Spines: 2, LeafPorts: 4, Cores: -1, Uplink: Net100G}, false},
-		{"negative pod size", TopoSpec{Kind: TopoSpineLeaf, Spines: 2, LeafPorts: 4, Cores: 2, PodLeaves: -2, Uplink: Net100G}, false},
-		{"ring with cores", TopoSpec{Kind: TopoRing, Switches: 3, LeafPorts: 2, Cores: 2, PodLeaves: 1, Uplink: Net100G}, false},
-		{"3-tier without spines", TopoSpec{Kind: TopoSpineLeaf, LeafPorts: 4, Cores: 2, PodLeaves: 2, Uplink: Net100G}, false},
+		{"good 3-tier", TopoSpec{Spines: 2, LeafPorts: 4, Cores: 2, PodLeaves: 2, Uplink: Net100G}, true},
+		{"cores without pod size", TopoSpec{Spines: 2, LeafPorts: 4, Cores: 2, Uplink: Net100G}, false},
+		{"pod size without cores", TopoSpec{Spines: 2, LeafPorts: 4, PodLeaves: 2, Uplink: Net100G}, false},
+		{"negative cores", TopoSpec{Spines: 2, LeafPorts: 4, Cores: -1, Uplink: Net100G}, false},
+		{"negative pod size", TopoSpec{Spines: 2, LeafPorts: 4, Cores: 2, PodLeaves: -2, Uplink: Net100G}, false},
+		{"3-tier without spines", TopoSpec{LeafPorts: 4, Cores: 2, PodLeaves: 2, Uplink: Net100G}, false},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); (err == nil) != c.ok {
@@ -168,7 +167,7 @@ func TestTopologyShardedMatchesSerial(t *testing.T) {
 		}
 	}
 	spec := TopoSpec{
-		Kind: TopoSpineLeaf, Spines: 2, LeafPorts: 2,
+		Spines: 2, LeafPorts: 2,
 		Cores: 2, PodLeaves: 1, Uplink: Net100G, ECMPSeed: 3,
 	}
 

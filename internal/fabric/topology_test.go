@@ -27,7 +27,7 @@ func spineLeafRig(t *testing.T, nSpines int, seed uint64) (*sim.Sim, *Topology, 
 	t.Helper()
 	s := sim.New(1)
 	topo := NewTopology(s, TopoSpec{
-		Kind: TopoSpineLeaf, Spines: nSpines, LeafPorts: 2,
+		Spines: nSpines, LeafPorts: 2,
 		Uplink: Net100G, ECMPSeed: seed,
 	})
 	var hosts [4]*portRecorder
@@ -202,7 +202,7 @@ func TestSpineLeafBlackholesRemoteCut(t *testing.T) {
 func TestECMPMinimalDisruption(t *testing.T) {
 	s := sim.New(1)
 	topo := NewTopology(s, TopoSpec{
-		Kind: TopoSpineLeaf, Spines: 3, LeafPorts: 1, Uplink: Net100G, ECMPSeed: 5,
+		Spines: 3, LeafPorts: 1, Uplink: Net100G, ECMPSeed: 5,
 	})
 	link := NewLink(s, Net100G)
 	topo.Attach(macN(1), link, &portRecorder{})
@@ -242,87 +242,16 @@ func TestECMPMinimalDisruption(t *testing.T) {
 	}
 }
 
-// ringRig builds a 4-switch ring with one machine per switch.
-func ringRig(t *testing.T) (*sim.Sim, *Topology, [4]*portRecorder, [4]*Link) {
-	t.Helper()
-	s := sim.New(1)
-	topo := NewTopology(s, TopoSpec{
-		Kind: TopoRing, Switches: 4, LeafPorts: 1, Uplink: Net100G, ECMPSeed: 3,
-	})
-	var hosts [4]*portRecorder
-	var links [4]*Link
-	for i := 0; i < 4; i++ {
-		hosts[i] = &portRecorder{name: string(rune('a' + i))}
-		links[i] = NewLink(s, Net100G)
-		if leaf := topo.Attach(macN(byte(i+1)), links[i], hosts[i]); leaf != i {
-			t.Fatalf("machine %d landed on switch %d", i, leaf)
-		}
-	}
-	return s, topo, hosts, links
-}
-
-func TestTopologyRingRoutesShortestPath(t *testing.T) {
-	s, topo, hosts, links := ringRig(t)
-	// Every machine sends to every other; all must arrive, without
-	// flooding, and segment hop counts must reflect shortest paths.
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if i != j {
-				links[i].Send(0, udpFrame(t, byte(i+1), byte(j+1), uint16(10000+i), uint16(9000+j)))
-			}
-		}
-	}
-	s.Run()
-	for i, h := range hosts {
-		if len(h.frames) != 3 {
-			t.Fatalf("machine %d got %d frames, want 3", i, len(h.frames))
-		}
-	}
-	for i, sw := range topo.Leaves {
-		if sw.Flooded != 0 {
-			t.Fatalf("ring switch %d flooded", i)
-		}
-	}
-	// 8 one-hop pairs (1 segment each) + 4 two-hop pairs (2 segments):
-	// 16 segment traversals in total.
-	var hops uint64
-	for i := 0; i < 4; i++ {
-		f0, _ := topo.RingLink(i).Stats(0)
-		f1, _ := topo.RingLink(i).Stats(1)
-		hops += f0 + f1
-	}
-	if hops != 16 {
-		t.Errorf("ring carried %d segment traversals, want 16", hops)
-	}
-}
-
-func TestTopologyRingCapacityPanics(t *testing.T) {
-	s := sim.New(1)
-	topo := NewTopology(s, TopoSpec{Kind: TopoRing, Switches: 3, LeafPorts: 1, Uplink: Net100G})
-	for i := 0; i < 3; i++ {
-		topo.Attach(macN(byte(i+1)), NewLink(s, Net100G), &portRecorder{})
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic attaching past ring capacity")
-		}
-	}()
-	topo.Attach(macN(9), NewLink(s, Net100G), &portRecorder{})
-}
-
 func TestTopoSpecValidate(t *testing.T) {
 	cases := []struct {
 		name string
 		spec TopoSpec
 		ok   bool
 	}{
-		{"good spine-leaf", TopoSpec{Kind: TopoSpineLeaf, Spines: 2, LeafPorts: 4, Uplink: Net100G}, true},
-		{"good ring", TopoSpec{Kind: TopoRing, Switches: 3, LeafPorts: 2, Uplink: Net100G}, true},
-		{"no leaf ports", TopoSpec{Kind: TopoSpineLeaf, Spines: 2, Uplink: Net100G}, false},
-		{"no spines", TopoSpec{Kind: TopoSpineLeaf, LeafPorts: 2, Uplink: Net100G}, false},
-		{"tiny ring", TopoSpec{Kind: TopoRing, Switches: 2, LeafPorts: 2, Uplink: Net100G}, false},
-		{"no uplink bw", TopoSpec{Kind: TopoSpineLeaf, Spines: 2, LeafPorts: 2}, false},
-		{"bad kind", TopoSpec{Kind: TopoKind(99), Spines: 2, LeafPorts: 2, Uplink: Net100G}, false},
+		{"good spine-leaf", TopoSpec{Spines: 2, LeafPorts: 4, Uplink: Net100G}, true},
+		{"no leaf ports", TopoSpec{Spines: 2, Uplink: Net100G}, false},
+		{"no spines", TopoSpec{LeafPorts: 2, Uplink: Net100G}, false},
+		{"no uplink bw", TopoSpec{Spines: 2, LeafPorts: 2}, false},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); (err == nil) != c.ok {
@@ -335,7 +264,7 @@ func TestTopoSpecValidate(t *testing.T) {
 // expects 3 leaves, each fully wired to every spine.
 func TestTopologyGrowsLeavesOnDemand(t *testing.T) {
 	s := sim.New(1)
-	topo := NewTopology(s, TopoSpec{Kind: TopoSpineLeaf, Spines: 3, LeafPorts: 4, Uplink: Net100G})
+	topo := NewTopology(s, TopoSpec{Spines: 3, LeafPorts: 4, Uplink: Net100G})
 	for i := 0; i < 9; i++ {
 		topo.Attach(macN(byte(i+1)), NewLink(s, Net100G), &portRecorder{name: fmt.Sprint(i)})
 	}

@@ -1,11 +1,12 @@
 // Package rpc implements the RPC message format, service registry, and
 // marshalling layer shared by every network stack in the simulation.
 //
-// The wire format is deliberately simple — a fixed header followed by
-// varint-length-prefixed argument fields — so that both a software codec
-// (whose per-byte CPU cost the kernel and bypass stacks pay) and
-// Lauberhorn's NIC-resident decoder (whose cost the host does not pay) can
-// parse it. This mirrors the paper's use of hardware RPC deserialization in
+// The wire format is deliberately simple — a fixed header followed by the
+// body — and every stack treats the body as opaque bytes. The software
+// codec's CPU cost, which the kernel and bypass stacks pay, is charged as
+// a fixed plus a per-byte cost (CostModel), never per parsed field;
+// Lauberhorn's NIC-resident decoder parses the same format at no host
+// cost. This mirrors the paper's use of hardware RPC deserialization in
 // the style of Optimus Prime / Cerebros / ProtoAcc.
 //
 // Determinism invariants: encoding and decoding are pure functions of
@@ -196,110 +197,3 @@ func DecodeInto(b []byte, m *Message) error {
 	m.Body = b[HeaderLen : HeaderLen+int(m.BodyLen)]
 	return nil
 }
-
-// ArgWriter encodes a sequence of typed argument fields into a body.
-// Fields are varint-length-delimited so the decoder can skip unknown data.
-type ArgWriter struct {
-	buf []byte
-}
-
-// NewArgWriter returns a writer with the given initial capacity.
-func NewArgWriter(capacity int) *ArgWriter {
-	return &ArgWriter{buf: make([]byte, 0, capacity)}
-}
-
-// PutUint64 appends an unsigned integer field.
-func (w *ArgWriter) PutUint64(v uint64) {
-	w.buf = binary.AppendUvarint(w.buf, v)
-}
-
-// PutInt64 appends a signed integer field (zigzag).
-func (w *ArgWriter) PutInt64(v int64) {
-	w.buf = binary.AppendVarint(w.buf, v)
-}
-
-// PutBytes appends a length-prefixed byte field.
-func (w *ArgWriter) PutBytes(b []byte) {
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// PutString appends a length-prefixed string field.
-func (w *ArgWriter) PutString(s string) {
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// Bytes returns the encoded body.
-func (w *ArgWriter) Bytes() []byte { return w.buf }
-
-// Len returns the encoded size so far.
-func (w *ArgWriter) Len() int { return len(w.buf) }
-
-// ArgReader decodes fields written by ArgWriter.
-type ArgReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewArgReader wraps a body for reading.
-func NewArgReader(b []byte) *ArgReader { return &ArgReader{buf: b} }
-
-// Err returns the first decoding error, if any.
-func (r *ArgReader) Err() error { return r.err }
-
-// Remaining returns the number of unread bytes.
-func (r *ArgReader) Remaining() int { return len(r.buf) - r.off }
-
-func (r *ArgReader) fail() {
-	if r.err == nil {
-		r.err = ErrShort
-	}
-}
-
-// Uint64 reads an unsigned integer field.
-func (r *ArgReader) Uint64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// Int64 reads a signed integer field.
-func (r *ArgReader) Int64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// Bytes reads a length-prefixed byte field (aliasing the body).
-func (r *ArgReader) Bytes() []byte {
-	n := r.Uint64()
-	if r.err != nil {
-		return nil
-	}
-	if uint64(r.Remaining()) < n {
-		r.fail()
-		return nil
-	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
-// String reads a length-prefixed string field.
-func (r *ArgReader) String() string { return string(r.Bytes()) }

@@ -113,57 +113,6 @@ func TestMessageString(t *testing.T) {
 	}
 }
 
-func TestArgWriterReader(t *testing.T) {
-	w := NewArgWriter(64)
-	w.PutUint64(12345)
-	w.PutInt64(-99)
-	w.PutBytes([]byte{1, 2, 3})
-	w.PutString("enzian")
-	body := w.Bytes()
-	if w.Len() != len(body) {
-		t.Fatal("Len mismatch")
-	}
-
-	r := NewArgReader(body)
-	if v := r.Uint64(); v != 12345 {
-		t.Errorf("Uint64 = %d", v)
-	}
-	if v := r.Int64(); v != -99 {
-		t.Errorf("Int64 = %d", v)
-	}
-	if b := r.Bytes(); !bytes.Equal(b, []byte{1, 2, 3}) {
-		t.Errorf("Bytes = %v", b)
-	}
-	if s := r.String(); s != "enzian" {
-		t.Errorf("String = %q", s)
-	}
-	if r.Err() != nil {
-		t.Fatalf("unexpected err: %v", r.Err())
-	}
-	if r.Remaining() != 0 {
-		t.Errorf("remaining %d", r.Remaining())
-	}
-}
-
-func TestArgReaderUnderflow(t *testing.T) {
-	r := NewArgReader([]byte{})
-	if r.Uint64() != 0 || r.Err() == nil {
-		t.Fatal("underflow not detected")
-	}
-	// Errors are sticky.
-	if r.Int64() != 0 || r.Bytes() != nil || r.String() != "" {
-		t.Fatal("sticky error not honoured")
-	}
-
-	// Length prefix longer than data.
-	w := NewArgWriter(8)
-	w.PutUint64(100) // claims 100 bytes follow
-	r2 := NewArgReader(w.Bytes())
-	if r2.Bytes() != nil || r2.Err() == nil {
-		t.Fatal("over-long length prefix not detected")
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	reg := NewRegistry()
 	if reg.Len() != 0 {
@@ -258,42 +207,6 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 			m.Flags == flags && m.Status == status && bytes.Equal(m.Body, body)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: arbitrary sequences of writer ops round-trip through the reader.
-func TestArgsRoundTripProperty(t *testing.T) {
-	f := func(us []uint64, ss []int64, bs [][]byte) bool {
-		w := NewArgWriter(16)
-		for _, u := range us {
-			w.PutUint64(u)
-		}
-		for _, s := range ss {
-			w.PutInt64(s)
-		}
-		for _, b := range bs {
-			w.PutBytes(b)
-		}
-		r := NewArgReader(w.Bytes())
-		for _, u := range us {
-			if r.Uint64() != u {
-				return false
-			}
-		}
-		for _, s := range ss {
-			if r.Int64() != s {
-				return false
-			}
-		}
-		for _, b := range bs {
-			if !bytes.Equal(r.Bytes(), b) {
-				return false
-			}
-		}
-		return r.Err() == nil && r.Remaining() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -91,9 +91,10 @@ type Service struct {
 // exist. A zero value means the legacy shapes — a direct point-to-point
 // link or a single-switch star.
 type FabricInfo struct {
-	// Kind names the fabric shape: "direct", "star", "spineleaf", "ring".
+	// Kind names the fabric shape: "direct", "star", "spineleaf".
 	Kind string
-	// Tiers is the switch-tier count: 0 direct, 1 star/ring, 2 spine-leaf.
+	// Tiers is the switch-tier count: 0 direct, 1 star, 2 spine-leaf, 3
+	// with a core tier.
 	Tiers int
 	// Leaf is the index of the host's access switch (0 for direct/star).
 	Leaf int

@@ -1,8 +1,8 @@
 // Package stats provides the measurement primitives used by every
 // experiment in this repository: log-bucketed latency histograms with
-// percentile queries, streaming mean/variance accumulators, and simple
-// counters. Recording is allocation-free once a histogram's window covers
-// the sample; a histogram widens at most once per magnitude group.
+// percentile queries, an EWMA for load estimation, and result tables.
+// Recording is allocation-free once a histogram's window covers the
+// sample; a histogram widens at most once per magnitude group.
 //
 // Determinism invariants: bucketing is a pure function of the recorded
 // value, percentiles and merges are independent of record order, and

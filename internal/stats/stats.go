@@ -1,112 +1,5 @@
 package stats
 
-import "math"
-
-// Welford is a streaming mean/variance accumulator using Welford's
-// algorithm, numerically stable for long runs.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add records one sample.
-//
-//lhlint:hotpath
-func (w *Welford) Add(x float64) {
-	if w.n == 0 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Count returns the number of samples.
-func (w *Welford) Count() uint64 { return w.n }
-
-// Mean returns the sample mean (0 when empty).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance (0 for n < 2).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest sample (0 when empty).
-func (w *Welford) Min() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.min
-}
-
-// Max returns the largest sample (0 when empty).
-func (w *Welford) Max() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.max
-}
-
-// Merge folds other into w (parallel-Welford combination).
-func (w *Welford) Merge(other *Welford) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *other
-		return
-	}
-	n := w.n + other.n
-	d := other.mean - w.mean
-	mean := w.mean + d*float64(other.n)/float64(n)
-	m2 := w.m2 + other.m2 + d*d*float64(w.n)*float64(other.n)/float64(n)
-	min, max := w.min, w.max
-	if other.min < min {
-		min = other.min
-	}
-	if other.max > max {
-		max = other.max
-	}
-	*w = Welford{n: n, mean: mean, m2: m2, min: min, max: max}
-}
-
-// Counter is a monotonically increasing event counter.
-type Counter struct{ n uint64 }
-
-// Inc adds one.
-//
-//lhlint:hotpath
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds n.
-//
-//lhlint:hotpath
-func (c *Counter) Add(n uint64) { c.n += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // EWMA is an exponentially weighted moving average, used by the NIC's load
 // estimator. Alpha in (0, 1] weights the newest observation.
 type EWMA struct {

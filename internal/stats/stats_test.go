@@ -184,80 +184,6 @@ func TestBucketErrorProperty(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	data := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, x := range data {
-		w.Add(x)
-	}
-	if w.Count() != 8 {
-		t.Fatalf("count %d", w.Count())
-	}
-	if math.Abs(w.Mean()-5) > 1e-9 {
-		t.Errorf("mean %v, want 5", w.Mean())
-	}
-	// population variance is 4; sample variance is 32/7.
-	if math.Abs(w.Variance()-32.0/7) > 1e-9 {
-		t.Errorf("variance %v, want %v", w.Variance(), 32.0/7)
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("min/max %v/%v", w.Min(), w.Max())
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.Stddev() != 0 || w.Min() != 0 || w.Max() != 0 {
-		t.Fatal("empty Welford non-zero")
-	}
-}
-
-func TestWelfordMerge(t *testing.T) {
-	var a, b, all Welford
-	r := sim.NewRNG(9)
-	for i := 0; i < 1000; i++ {
-		x := r.Norm(50, 10)
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	a.Merge(nil)
-	var empty Welford
-	a.Merge(&empty)
-	if a.Count() != all.Count() {
-		t.Fatalf("merged count %d, want %d", a.Count(), all.Count())
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 {
-		t.Errorf("merged mean %v, want %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-6 {
-		t.Errorf("merged variance %v, want %v", a.Variance(), all.Variance())
-	}
-	// Merge into empty copies the source.
-	var c Welford
-	c.Merge(&all)
-	if c.Count() != all.Count() || c.Mean() != all.Mean() {
-		t.Error("merge into empty did not copy")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter %d, want 5", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestEWMA(t *testing.T) {
 	e := NewEWMA(0.5)
 	if e.Value() != 0 {
